@@ -11,168 +11,18 @@ import (
 	"greenenvy/internal/testbed"
 )
 
-// This file moves the Theorem 1 comparison from the paper's 2-host dumbbell
-// onto a k-ary fat-tree fabric — the ROADMAP's datacenter-scale direction:
-//
-//   - fattree-incast: synchronized fan-in across racks into one receiver,
-//     fair vs serial, swept 16 → 1024 senders. The bottleneck is the
-//     receiver's edge downlink, but traffic converges through ECMP'd
-//     aggregation and core tiers.
-//
-//   - crossrack: the Figure 1 energy-vs-fairness sweep with the shared
-//     bottleneck relocated to a core link — two flows from different pods
-//     whose ECMP paths collide on one core→aggregation downlink.
+// This file is crossrack: the Figure 1 energy-vs-fairness sweep with the
+// shared bottleneck relocated from the dumbbell onto a core link of a
+// k-ary fat-tree — two flows from different pods whose ECMP paths collide
+// on one core→aggregation downlink. Its sibling on the same fabric,
+// fattree-incast, is a builtin scenario spec (scenario.FatTreeIncast).
 
 func init() {
-	Register(Experiment{
-		Name: "fattree-incast", Order: 113, Section: "§5",
-		Description: "fair-vs-serial savings for cross-rack fan-in on a fat-tree fabric",
-		Run:         func(o Options) (Result, error) { return RunFatTreeIncast(o) },
-	})
 	Register(Experiment{
 		Name: "crossrack", Order: 116, Section: "§5",
 		Description: "energy vs fairness when the shared bottleneck is a fat-tree core link",
 		Run:         func(o Options) (Result, error) { return RunCrossRack(o) },
 	})
-}
-
-// FatTreeIncastPoint is one fan-in width of the fat-tree incast sweep.
-type FatTreeIncastPoint struct {
-	Senders int
-	// K is the tree arity used for this width (smallest fitting fabric).
-	K              int
-	FairJ          float64
-	SerialJ        float64
-	SavingsPct     float64
-	AnalyticPct    float64
-	FairDuration   float64
-	SerialDuration float64
-}
-
-// FatTreeIncastResult sweeps synchronized cross-rack fan-in on a fat-tree.
-type FatTreeIncastResult struct {
-	Points []FatTreeIncastPoint
-	// TotalGbit is the aggregate data moved per run (constant across
-	// fan-in widths so runs are comparable).
-	TotalGbit float64
-}
-
-// RunFatTreeIncast measures fair-vs-serial energy for synchronized senders
-// spread across the racks of a k-ary fat-tree, all converging on one
-// receiver host. Fair imposes equal weights with a DRR on the receiver's
-// edge downlink; serial chains the transfers. The 1024-sender width only
-// runs at Scale >= 0.25 so tiny-scale smoke runs stay cheap.
-func RunFatTreeIncast(o Options) (FatTreeIncastResult, error) {
-	o, err := o.WithDefaults()
-	if err != nil {
-		return FatTreeIncastResult{}, err
-	}
-	totalBytes := uint64(20 * paperGbit * o.Scale)
-	res := FatTreeIncastResult{TotalGbit: float64(totalBytes) * 8 / 1e9}
-	p := PaperPowerFunc()
-
-	widths := []int{16, 64, 256}
-	if o.Scale >= 0.25 {
-		widths = append(widths, 1024)
-	}
-	const recv = netsim.NodeID(0)
-	for _, n := range widths {
-		per := totalBytes / uint64(n)
-		if per == 0 {
-			return FatTreeIncastResult{}, fmt.Errorf("greenenvy: scale too small for %d-way incast", n)
-		}
-		k := netsim.FatTreeArityFor(n)
-		senders := netsim.IncastHosts(k, n)
-		hostBps := netsim.DefaultFatTree(k).HostBps
-
-		run := func(serial bool) (float64, float64, error) {
-			id := fmt.Sprintf("fattree-incast/n=%d/k=%d/ecmp=%d/serial=%t/per=%d/sh=%d", n, k, o.Seed, serial, per, o.ShardTag())
-			aggs, err := runCell(o, id, func(seed uint64) (*testbed.Testbed, error) {
-				cfg := netsim.DefaultFatTree(k)
-				cfg.ECMPSeed = o.Seed
-				if !serial {
-					cfg.NewQueue = func(port netsim.FatTreePort) netsim.Queue {
-						if port.Tier == netsim.TierHostDown && port.Host == recv {
-							return netsim.NewDRR(cfg.BufferBytes, cfg.MarkBytes)
-						}
-						return nil
-					}
-				}
-				tb := testbed.NewFatTree(testbed.Options{Seed: seed, Shards: o.Shards}, cfg)
-				tb.WatchBottleneck(tb.Fat.HostDownlink(recv))
-				var prev *iperf.Client
-				for _, src := range senders {
-					c, err := tb.AddFlowBetween(src, recv, iperf.Spec{Bytes: per, CCA: "cubic"})
-					if err != nil {
-						return nil, err
-					}
-					if serial {
-						if prev != nil {
-							c.StartAfter(prev)
-						}
-						prev = c
-					} else if err := tb.SetWeight(c.Report().Flow, 1/float64(n)); err != nil {
-						return nil, err
-					}
-				}
-				return tb, nil
-			}, deadlineFor(totalBytes), senderJoules, runSeconds, eventsFired)
-			if err != nil {
-				return 0, 0, err
-			}
-			o.Logf("fattree-incast: n=%d serial=%t %.0f events/run", n, serial, aggs[2].Mean)
-			return aggs[0].Mean, aggs[1].Mean, nil
-		}
-		fairJ, fairD, err := run(false)
-		if err != nil {
-			return FatTreeIncastResult{}, fmt.Errorf("fattree-incast n=%d fair: %w", n, err)
-		}
-		serialJ, serialD, err := run(true)
-		if err != nil {
-			return FatTreeIncastResult{}, fmt.Errorf("fattree-incast n=%d serial: %w", n, err)
-		}
-
-		// Analytic prediction: n hosts sharing the receiver downlink.
-		flows := make([]core.Flow, n)
-		for i := range flows {
-			flows[i] = core.Flow{Bytes: float64(per)}
-		}
-		fairS, err := core.FairShare(flows, float64(hostBps))
-		if err != nil {
-			return FatTreeIncastResult{}, err
-		}
-		serialS, err := core.FullSpeedThenIdle(flows, float64(hostBps))
-		if err != nil {
-			return FatTreeIncastResult{}, err
-		}
-		analytic := (fairS.Energy(p) - serialS.Energy(p)) / fairS.Energy(p) * 100
-
-		res.Points = append(res.Points, FatTreeIncastPoint{
-			Senders:        n,
-			K:              k,
-			FairJ:          fairJ,
-			SerialJ:        serialJ,
-			SavingsPct:     (fairJ - serialJ) / fairJ * 100,
-			AnalyticPct:    analytic,
-			FairDuration:   fairD,
-			SerialDuration: serialD,
-		})
-		o.Logf("fattree-incast: n=%d k=%d savings %.1f%% (analytic %.1f%%)", n, k, (fairJ-serialJ)/fairJ*100, analytic)
-	}
-	return res, nil
-}
-
-// Table renders the fat-tree incast sweep.
-func (r FatTreeIncastResult) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fat-tree incast — fair vs serial energy, %.1f Gbit aggregate, cross-rack fan-in\n", r.TotalGbit)
-	fmt.Fprintf(&b, "%-8s %4s %12s %12s %10s %12s\n", "senders", "k", "fair (J)", "serial (J)", "savings", "analytic")
-	for _, p := range r.Points {
-		fmt.Fprintf(&b, "%-8d %4d %12.1f %12.1f %9.2f%% %11.2f%%\n", p.Senders, p.K, p.FairJ, p.SerialJ, p.SavingsPct, p.AnalyticPct)
-	}
-	b.WriteString("(Theorem 1 on a fabric: the receiver's edge downlink is the shared resource;\n")
-	b.WriteString(" ECMP spreads the converging flows across aggregation and core tiers)\n")
-	return b.String()
 }
 
 // CrossRackPoint is one x-position of the cross-rack fairness sweep.

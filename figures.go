@@ -21,25 +21,6 @@ func textPanel(table string) (string, error) {
 	return plot.TextPanel(lines[0], lines[1:])
 }
 
-// SVG renders Figure 1: savings vs bandwidth fraction.
-func (r Fig1Result) SVG() (string, error) {
-	measured := plot.Series{Name: "measured"}
-	analytic := plot.Series{Name: "analytic"}
-	for _, p := range r.Points {
-		measured.X = append(measured.X, p.Fraction*100)
-		measured.Y = append(measured.Y, p.SavingsPct)
-		analytic.X = append(analytic.X, p.Fraction*100)
-		analytic.Y = append(analytic.Y, p.AnalyticSavingsPct)
-	}
-	return plot.Chart{
-		Title:  "Figure 1 — energy savings vs bandwidth fraction to flow 1",
-		XLabel: "fraction of bandwidth allocated to flow 1 (%)",
-		YLabel: "energy savings over fair allocation (%)",
-		Kind:   "line",
-		Series: []plot.Series{measured, analytic},
-	}.SVG()
-}
-
 // SVG renders Figure 2: power vs throughput with the tangent line.
 func (r Fig2Result) SVG() (string, error) {
 	smooth := plot.Series{Name: "sending smoothly"}
@@ -265,25 +246,6 @@ func (r WorkloadResult) SVG() (string, error) {
 		YLabel: "sender energy (J/GB)",
 		Kind:   "line",
 		Series: out,
-	}.SVG()
-}
-
-// SVG renders the fat-tree incast sweep.
-func (r FatTreeIncastResult) SVG() (string, error) {
-	measured := plot.Series{Name: "measured"}
-	analytic := plot.Series{Name: "analytic"}
-	for _, p := range r.Points {
-		measured.X = append(measured.X, float64(p.Senders))
-		measured.Y = append(measured.Y, p.SavingsPct)
-		analytic.X = append(analytic.X, float64(p.Senders))
-		analytic.Y = append(analytic.Y, p.AnalyticPct)
-	}
-	return plot.Chart{
-		Title:  "Fat-tree incast — serial-schedule savings vs cross-rack fan-in",
-		XLabel: "synchronized senders (spread across racks)",
-		YLabel: "energy savings (%)",
-		Kind:   "line",
-		Series: []plot.Series{measured, analytic},
 	}.SVG()
 }
 

@@ -28,9 +28,10 @@ const ScenarioCacheIDPrefix = "scenario/"
 
 // Figures 5–8 intentionally share the "sweep" id: they are four views over
 // the one CCA sweep dataset and must share its cached repetitions.
-// "aqm-matrix" is scenario-compiled (see ScenarioCacheIDPrefix).
+// "fig1", "fattree-incast" and "aqm-matrix" are scenario-compiled (see
+// ScenarioCacheIDPrefix).
 var ExperimentCacheIDs = map[string]string{
-	"fig1":               "fig1/",
+	"fig1":               ScenarioCacheIDPrefix,
 	"fig2":               "fig2/",
 	"fig3":               "fig3/",
 	"fig4":               "fig4/",
@@ -43,7 +44,7 @@ var ExperimentCacheIDs = map[string]string{
 	"frontier":           "", // closed form
 	"ablations":          "", // closed form
 	"incast":             "incast/",
-	"fattree-incast":     "fattree-incast/",
+	"fattree-incast":     ScenarioCacheIDPrefix,
 	"crossrack":          "crossrack/",
 	"samesender":         "samesender/",
 	"production":         "production/",

@@ -71,41 +71,38 @@ func RunCell(o Options, id string, build BuildFunc, deadline sim.Duration, metri
 // every result-affecting parameter that the per-repetition seed does not
 // already capture (transfer bytes, rates, loads, topology, CCA, MTU, ...).
 // Two call sites with the same id and seed MUST build identical testbeds.
-func RepeatRuns(o Options, id string, build func(seed uint64) (*testbed.Testbed, error), deadline sim.Duration) ([]testbed.RunResult, error) {
-	store := o.CacheStore()
-	return testbed.RepeatParallel(o.Reps, o.Seed, o.Workers, func(rep int, seed uint64) (testbed.RunResult, error) {
-		key := cache.NewKey("run", id, seed)
-		var cached testbed.RunResult
-		if store.Get(key, &cached) {
-			return cached, nil
-		}
+func RepeatRuns(o Options, id string, build BuildFunc, deadline sim.Duration) ([]testbed.RunResult, error) {
+	return repeatCached(o, "run", id, func(seed uint64) (testbed.RunResult, error) {
 		tb, err := build(seed)
 		if err != nil {
 			return testbed.RunResult{}, err
 		}
-		r, err := tb.Run(deadline)
-		if err == nil {
-			// Best-effort: a full disk or unwritable store must not
-			// fail the experiment, only future warm starts.
-			_ = store.Put(key, r)
-		}
-		return r, err
+		return tb.Run(deadline)
 	})
 }
 
-// RepeatStreamRuns is RepeatRuns for the streaming churn path: the same
-// derived-seed repetition fan-out and per-repetition persistent caching,
-// but each repetition produces an O(1)-size testbed.StreamResult instead
-// of retained per-flow reports. Stream runs cache under the "stream" key
-// kind so their gob shape evolves independently of RunResult's.
+// RepeatStreamRuns is RepeatRuns for the streaming churn path: each
+// repetition produces an O(1)-size testbed.StreamResult instead of
+// retained per-flow reports. Stream runs cache under the "stream" key kind
+// so their gob shape evolves independently of RunResult's.
 func RepeatStreamRuns(o Options, id string, run func(seed uint64) (testbed.StreamResult, error)) ([]testbed.StreamResult, error) {
+	return repeatCached(o, "stream", id, run)
+}
+
+// repeatCached is the one repetition loop behind RepeatRuns and
+// RepeatStreamRuns: Options.Reps repetitions with seeds derived from
+// Options.Seed by index (testbed.RepeatParallel's derivation), fanned out
+// over Options.Workers, each served from the persistent cache under (kind,
+// id, seed) when present and stored there once computed. Results are
+// placed by repetition index; an error names the failing repetition.
+func repeatCached[R any](o Options, kind, id string, run func(seed uint64) (R, error)) ([]R, error) {
 	store := o.CacheStore()
 	root := sim.NewRNG(o.Seed)
-	out := make([]testbed.StreamResult, o.Reps)
+	out := make([]R, o.Reps)
 	err := testbed.ForEach(o.Reps, o.Workers, func(rep int) error {
 		seed := root.Split(uint64(rep)).Uint64()
-		key := cache.NewKey("stream", id, seed)
-		var cached testbed.StreamResult
+		key := cache.NewKey(kind, id, seed)
+		var cached R
 		if store.Get(key, &cached) {
 			out[rep] = cached
 			return nil
@@ -114,6 +111,8 @@ func RepeatStreamRuns(o Options, id string, run func(seed uint64) (testbed.Strea
 		if err != nil {
 			return fmt.Errorf("repetition %d: %w", rep, err)
 		}
+		// Best-effort: a full disk or unwritable store must not fail the
+		// experiment, only future warm starts.
 		_ = store.Put(key, r)
 		out[rep] = r
 		return nil

@@ -6,6 +6,43 @@ package scenario
 // means the registry, the file loader, and the docs all exercise one
 // compiler path.
 
+// Fig1 is the registered fig1 experiment, the paper's Figure 1: two
+// competing cubic flows on the dumbbell, sweeping flow 1's share of the
+// bottleneck from the fair split to the serial schedule.
+func Fig1() Spec {
+	return Spec{
+		Name:        "fig1",
+		Description: "energy savings vs bandwidth fraction for two competing flows",
+		Section:     "§4.1",
+		Order:       10,
+		Preset:      PresetFractionSweep,
+		Topology:    Topology{Kind: KindDumbbell},
+		Sweep: &Sweep{
+			GbitPerFlow: 10,
+			Fractions:   []float64{0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90, 0.95, 1.0},
+		},
+	}
+}
+
+// FatTreeIncast is the registered fattree-incast experiment: Theorem 1 on
+// a fabric, fair vs serial cross-rack fan-in swept from 16 to 256 senders
+// (1024 at Scale >= 0.25).
+func FatTreeIncast() Spec {
+	return Spec{
+		Name:        "fattree-incast",
+		Description: "fair-vs-serial savings for cross-rack fan-in on a fat-tree fabric",
+		Section:     "§5",
+		Order:       113,
+		Preset:      PresetFanInSweep,
+		Topology:    Topology{Kind: KindFatTree},
+		Sweep: &Sweep{
+			TotalGbit: 20,
+			Widths:    []int{16, 64, 256},
+			WideWidth: 1024,
+		},
+	}
+}
+
 // AQMMatrix is the registered aqm-matrix experiment: four same-CCA flows
 // on the dumbbell bottleneck, crossed over {droptail, codel, fq-codel, pie},
 // reporting J/GB and Jain fairness per cell.
@@ -33,18 +70,29 @@ func AQMMatrix() Spec {
 	}
 }
 
-// builtins maps registry names to their spec constructors.
-var builtins = map[string]func() Spec{
-	"aqm-matrix": AQMMatrix,
+// builtin is one shipped spec and the registry aliases it answers to.
+// Aliases live here rather than in Spec: they are registry presentation,
+// not something a spec file spells.
+type builtin struct {
+	spec    func() Spec
+	aliases []string
 }
 
-// Builtin returns the named built-in spec and whether it exists.
-func Builtin(name string) (Spec, bool) {
-	f, ok := builtins[name]
+// builtins maps registry names to their specs.
+var builtins = map[string]builtin{
+	"fig1":           {Fig1, []string{"1"}},
+	"fattree-incast": {FatTreeIncast, nil},
+	"aqm-matrix":     {AQMMatrix, nil},
+}
+
+// Builtin returns the named built-in spec, its registry aliases, and
+// whether it exists.
+func Builtin(name string) (spec Spec, aliases []string, ok bool) {
+	b, ok := builtins[name]
 	if !ok {
-		return Spec{}, false
+		return Spec{}, nil, false
 	}
-	return f(), true
+	return b.spec(), b.aliases, true
 }
 
 // BuiltinNames lists the built-in spec names.

@@ -52,7 +52,7 @@ func usToDur(us float64) sim.Duration {
 
 // dumbbellConfig maps a canonical dumbbell topology onto the netsim config.
 // With the spec defaults it reproduces netsim.DefaultDumbbell field for
-// field, which the byte-identity tests depend on.
+// field, which the fig1 golden pins depend on.
 func dumbbellConfig(t Topology) netsim.DumbbellConfig {
 	cfg := netsim.DumbbellConfig{
 		Senders:           t.Senders,

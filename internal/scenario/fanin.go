@@ -16,14 +16,15 @@ import (
 // The fanin-sweep preset is the fat-tree incast experiment in spec form:
 // synchronized cross-rack senders converging on host 0 of a k-ary fat-tree,
 // fair (DRR on the receiver's edge downlink) vs serial (chained starts),
-// swept over fan-in widths at constant aggregate volume. The run loop,
-// analytic predictions, and table rendering mirror the handwritten
-// fattree-incast experiment operation for operation — the golden
-// byte-identity test holds the two equal.
+// swept over fan-in widths at constant aggregate volume. The bottleneck is
+// the receiver's edge downlink, but traffic converges through ECMP'd
+// aggregation and core tiers. The registered fattree-incast experiment is
+// this preset's builtin spec (see FatTreeIncast).
 
-// fanInPoint is one fan-in width.
-type fanInPoint struct {
-	Senders        int
+// FanInPoint is one fan-in width.
+type FanInPoint struct {
+	Senders int
+	// K is the tree arity used for this width (smallest fitting fabric).
 	K              int
 	FairJ          float64
 	SerialJ        float64
@@ -33,9 +34,11 @@ type fanInPoint struct {
 	SerialDuration float64
 }
 
-// fanInResult is the compiled fanin-sweep outcome.
-type fanInResult struct {
-	Points    []fanInPoint
+// FanInResult is the fanin-sweep outcome.
+type FanInResult struct {
+	Points []FanInPoint
+	// TotalGbit is the aggregate data moved per run (constant across
+	// fan-in widths so runs are comparable).
 	TotalGbit float64
 }
 
@@ -46,7 +49,7 @@ func runFanInSweep(spec Spec, prefix string) func(registry.Options) (registry.Re
 			return nil, err
 		}
 		totalBytes := uint64(spec.Sweep.TotalGbit * float64(registry.PaperGbit) * o.Scale)
-		res := &fanInResult{TotalGbit: float64(totalBytes) * 8 / 1e9}
+		res := FanInResult{TotalGbit: float64(totalBytes) * 8 / 1e9}
 		p := energy.PaperPower()
 		ccaName := spec.Sweep.CCA
 
@@ -124,7 +127,7 @@ func runFanInSweep(spec Spec, prefix string) func(registry.Options) (registry.Re
 			}
 			analytic := (fairS.Energy(p) - serialS.Energy(p)) / fairS.Energy(p) * 100
 
-			res.Points = append(res.Points, fanInPoint{
+			res.Points = append(res.Points, FanInPoint{
 				Senders:        n,
 				K:              k,
 				FairJ:          fairJ,
@@ -140,9 +143,8 @@ func runFanInSweep(spec Spec, prefix string) func(registry.Options) (registry.Re
 	}
 }
 
-// Table renders the sweep — the same format, column for column, as the
-// handwritten fat-tree incast table.
-func (r *fanInResult) Table() string {
+// Table renders the fat-tree incast sweep.
+func (r FanInResult) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fat-tree incast — fair vs serial energy, %.1f Gbit aggregate, cross-rack fan-in\n", r.TotalGbit)
 	fmt.Fprintf(&b, "%-8s %4s %12s %12s %10s %12s\n", "senders", "k", "fair (J)", "serial (J)", "savings", "analytic")
@@ -154,8 +156,8 @@ func (r *fanInResult) Table() string {
 	return b.String()
 }
 
-// SVG renders measured and analytic savings vs fan-in width.
-func (r *fanInResult) SVG() (string, error) {
+// SVG renders the fat-tree incast sweep.
+func (r FanInResult) SVG() (string, error) {
 	measured := plot.Series{Name: "measured"}
 	analytic := plot.Series{Name: "analytic"}
 	for _, p := range r.Points {
@@ -165,9 +167,9 @@ func (r *fanInResult) SVG() (string, error) {
 		analytic.Y = append(analytic.Y, p.AnalyticPct)
 	}
 	return plot.Chart{
-		Title:  "Scenario fan-in sweep — fair vs serial savings on a fat-tree",
-		XLabel: "fan-in width (senders)",
-		YLabel: "savings over fair (%)",
+		Title:  "Fat-tree incast — serial-schedule savings vs cross-rack fan-in",
+		XLabel: "synchronized senders (spread across racks)",
+		YLabel: "energy savings (%)",
 		Kind:   "line",
 		Series: []plot.Series{measured, analytic},
 	}.SVG()

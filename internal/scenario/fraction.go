@@ -16,26 +16,38 @@ import (
 // form: two competing flows on the dumbbell, sweeping the bandwidth
 // fraction given to flow 1 via weighted fair queueing (fraction 1.0
 // switches to the serial "full speed, then idle" schedule) and measuring
-// total sender energy. The run loop, aggregation, and table rendering
-// mirror the handwritten fig1 experiment operation for operation — the
-// golden byte-identity test holds the two implementations equal.
+// total sender energy. The registered fig1 experiment is this preset's
+// builtin spec (see Fig1).
 
-// fractionPoint is one x-position of the sweep.
-type fractionPoint struct {
-	Fraction           float64
-	MeanEnergyJ        float64
-	StdEnergyJ         float64
-	SavingsPct         float64
+// FractionPoint is one x-position of the sweep.
+type FractionPoint struct {
+	// Fraction of the bottleneck allocated to flow 1 while both flows
+	// are active (0.5 = TCP fair share, 1.0 = full speed then idle).
+	Fraction float64
+	// MeanEnergyJ / StdEnergyJ summarize total sender energy over the
+	// repetitions.
+	MeanEnergyJ float64
+	StdEnergyJ  float64
+	// SavingsPct is energy saving over the fair point, in percent.
+	SavingsPct float64
+	// AnalyticSavingsPct is the closed-form prediction from the power
+	// curve (the WeightedShare schedule energy).
 	AnalyticSavingsPct float64
-	JainIndex          float64
+	// JainIndex is Jain's fairness index of the (f, 1−f) bandwidth
+	// allocation while both flows are active: 1 at the fair split, 0.5
+	// at full monopoly.
+	JainIndex float64
 }
 
-// fractionResult is the compiled fraction-sweep outcome.
-type fractionResult struct {
-	Points        []fractionPoint
+// FractionResult is the fraction-sweep outcome: for fig1, the paper's
+// "Increasing throughput imbalance for two competing TCP flows can reduce
+// energy usage."
+type FractionResult struct {
+	Points        []FractionPoint
 	FairEnergyJ   float64
 	MaxSavingsPct float64
-	FlowGbit      float64
+	// FlowGbit is the per-flow transfer size used (GbitPerFlow × Scale).
+	FlowGbit float64
 }
 
 func runFractionSweep(spec Spec, prefix string) func(registry.Options) (registry.Result, error) {
@@ -49,7 +61,7 @@ func runFractionSweep(spec Spec, prefix string) func(registry.Options) (registry
 			return nil, errf("scale too small")
 		}
 		fractions := spec.Sweep.Fractions
-		res := &fractionResult{FlowGbit: float64(bytes) * 8 / 1e9}
+		res := FractionResult{FlowGbit: float64(bytes) * 8 / 1e9}
 
 		// Analytic predictions from the calibrated curve, at the spec's
 		// bottleneck rate.
@@ -97,7 +109,7 @@ func runFractionSweep(spec Spec, prefix string) func(registry.Options) (registry
 			}
 			jain := 1 / (2 * (f*f + (1-f)*(1-f)))
 			energyAgg := aggs[0]
-			res.Points = append(res.Points, fractionPoint{
+			res.Points = append(res.Points, FractionPoint{
 				Fraction:           f,
 				MeanEnergyJ:        energyAgg.Mean,
 				StdEnergyJ:         energyAgg.Std,
@@ -118,9 +130,8 @@ func runFractionSweep(spec Spec, prefix string) func(registry.Options) (registry
 	}
 }
 
-// Table renders the sweep rows — the same format, column for column, as the
-// handwritten Figure 1 table.
-func (r *fractionResult) Table() string {
+// Table renders the Figure 1 rows.
+func (r FractionResult) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 1 — energy savings vs bandwidth fraction to flow 1 (%.1f Gbit/flow)\n", r.FlowGbit)
 	fmt.Fprintf(&b, "%-10s %14s %12s %14s %8s\n", "fraction", "energy (J)", "savings %", "analytic %", "jain")
@@ -132,20 +143,20 @@ func (r *fractionResult) Table() string {
 	return b.String()
 }
 
-// SVG renders measured and analytic savings vs fraction.
-func (r *fractionResult) SVG() (string, error) {
+// SVG renders Figure 1: savings vs bandwidth fraction.
+func (r FractionResult) SVG() (string, error) {
 	measured := plot.Series{Name: "measured"}
 	analytic := plot.Series{Name: "analytic"}
 	for _, p := range r.Points {
-		measured.X = append(measured.X, p.Fraction)
+		measured.X = append(measured.X, p.Fraction*100)
 		measured.Y = append(measured.Y, p.SavingsPct)
-		analytic.X = append(analytic.X, p.Fraction)
+		analytic.X = append(analytic.X, p.Fraction*100)
 		analytic.Y = append(analytic.Y, p.AnalyticSavingsPct)
 	}
 	return plot.Chart{
-		Title:  "Scenario fraction sweep — energy savings vs bandwidth fraction",
-		XLabel: "bandwidth fraction to flow 1",
-		YLabel: "savings over fair (%)",
+		Title:  "Figure 1 — energy savings vs bandwidth fraction to flow 1",
+		XLabel: "fraction of bandwidth allocated to flow 1 (%)",
+		YLabel: "energy savings over fair allocation (%)",
 		Kind:   "line",
 		Series: []plot.Series{measured, analytic},
 	}.SVG()

@@ -191,7 +191,7 @@ func TestParseJSONRejectsUnknownFields(t *testing.T) {
 // TestBuiltins: the shipped specs compile, and lookups are total.
 func TestBuiltins(t *testing.T) {
 	for _, name := range BuiltinNames() {
-		spec, ok := Builtin(name)
+		spec, _, ok := Builtin(name)
 		if !ok {
 			t.Fatalf("BuiltinNames lists %q but Builtin does not return it", name)
 		}
@@ -206,7 +206,7 @@ func TestBuiltins(t *testing.T) {
 			t.Errorf("builtin %q compiled with incomplete metadata: %+v", name, e)
 		}
 	}
-	if _, ok := Builtin("no-such-spec"); ok {
+	if _, _, ok := Builtin("no-such-spec"); ok {
 		t.Fatal("Builtin returned a spec for an unknown name")
 	}
 }

@@ -164,8 +164,7 @@ type Sweep struct {
 	// Widths are the fanin-sweep sender counts.
 	Widths []int `json:"widths,omitempty"`
 	// WideWidth, when positive, is an extra width only run at
-	// Options.Scale >= 0.25, mirroring the handwritten incast sweep's
-	// guard that keeps tiny-scale smoke runs cheap.
+	// Options.Scale >= 0.25, so tiny-scale smoke runs stay cheap.
 	WideWidth int `json:"wide_width,omitempty"`
 	// CCAs and Queues are the aqm-matrix axes.
 	CCAs   []string    `json:"ccas,omitempty"`

@@ -3,14 +3,15 @@ package testbed
 import (
 	"fmt"
 
+	"greenenvy/internal/energy"
 	"greenenvy/internal/iperf"
 	"greenenvy/internal/sim"
 )
 
 // This file is Run's counterpart for the sharded fat-tree (Options.Shards >
-// 0): the same measurement protocol — bracket every host's RAPL counter,
-// start the flows, sample energy every SyncEvery, collect at the last
-// completion instant — restated so that no step reads state owned by
+// 0): the same measurement bracket (bracket.go) — begin every host's RAPL
+// counter, start the flows, sample energy every SyncEvery, close at the
+// last completion instant — arranged so that no step reads state owned by
 // another partition while the run is in flight.
 //
 // Three things change shape:
@@ -31,16 +32,13 @@ import (
 //     latency relative to the monolithic schedule, identically for every
 //     worker count.
 //
-//   - Collection happens on the main goroutine after the group quiesces.
-//     The completion instant is the latest sender CompletedAt; every
-//     meter is integrated exactly to that instant with EndPackageAt, and
-//     measurement noise is drawn in the same sender-then-receiver order as
-//     the monolithic path so the draw sequence stays a function of the
-//     testbed's construction order alone.
+//   - The window closes on the main goroutine after the group quiesces.
+//     The completion instant is the latest sender CompletedAt, read off
+//     the clients rather than observed live; closeWindow integrates every
+//     meter exactly to it, drawing noise in the same order as the
+//     monolithic path.
 func (tb *Testbed) runSharded(deadline sim.Duration) (RunResult, error) {
-	for _, s := range tb.Sensors {
-		tb.measures = append(tb.measures, s.Begin())
-	}
+	tb.beginWindow()
 
 	// Route cross-shard chained starts through the control conduits.
 	idxOf := make(map[*iperf.Client]int, len(tb.clients))
@@ -68,11 +66,12 @@ func (tb *Testbed) runSharded(deadline sim.Duration) (RunResult, error) {
 		c.Start()
 	}
 
-	// One self-retiring sampler per shard that owns meters.
+	// One self-retiring sampler per shard that owns meters, stopping when
+	// its shard is quiet.
 	P := tb.group.Shards()
-	meterIdx := make([][]int, P)
+	meters := make([][]*energy.Meter, P)
 	for i, s := range tb.meterShard {
-		meterIdx[s] = append(meterIdx[s], i)
+		meters[s] = append(meters[s], tb.Meters[i])
 	}
 	senders := make([][]*iperf.Client, P)
 	receivers := make([][]*iperf.Client, P)
@@ -81,11 +80,10 @@ func (tb *Testbed) runSharded(deadline sim.Duration) (RunResult, error) {
 		receivers[tb.clientDstShard[i]] = append(receivers[tb.clientDstShard[i]], c)
 	}
 	for s := 0; s < P; s++ {
-		if len(meterIdx[s]) == 0 {
+		if len(meters[s]) == 0 {
 			continue
 		}
 		s := s
-		eng := tb.group.Engine(s)
 		quiet := func() bool {
 			for _, c := range senders[s] {
 				if !c.Done() {
@@ -99,23 +97,7 @@ func (tb *Testbed) runSharded(deadline sim.Duration) (RunResult, error) {
 			}
 			return true
 		}
-		var sample func()
-		sample = func() {
-			// The quiet check must precede the sync: once the shard is
-			// quiet, syncing again could push a meter's integration point
-			// past the global completion instant, and EndPackageAt cannot
-			// integrate backwards.
-			if quiet() {
-				return
-			}
-			for _, i := range meterIdx[s] {
-				tb.Meters[i].Sync()
-			}
-			if eng.Now() < sim.Time(deadline) {
-				eng.After(tb.opts.SyncEvery, sample)
-			}
-		}
-		eng.After(tb.opts.SyncEvery, sample)
+		tb.sampleUntil(tb.group.Engine(s), meters[s], quiet, deadline)
 	}
 
 	tb.group.Run(sim.Time(deadline), tb.opts.Shards)
@@ -132,29 +114,7 @@ func (tb *Testbed) runSharded(deadline sim.Duration) (RunResult, error) {
 			done = t
 		}
 	}
-	noise := func() float64 { return 1 + tb.rng.Normal(0, tb.opts.MeasureNoise) }
-	res := RunResult{Duration: done}
-	for _, i := range tb.senderIdx {
-		j := tb.measures[i].EndPackageAt(done) * noise()
-		res.SenderEnergyJ = append(res.SenderEnergyJ, j)
-		res.TotalSenderJ += j
-	}
-	for _, i := range tb.recvIdx {
-		res.ReceiverEnergyJ += tb.measures[i].EndPackageAt(done) * noise()
-	}
-	for _, c := range tb.clients {
-		res.Reports = append(res.Reports, c.Report())
-		res.Retransmits += c.Sender().Retransmits
-	}
-	if s := res.Duration.Seconds(); s > 0 {
-		res.AvgSenderPowerW = res.TotalSenderJ / s
-	}
-	if tb.watch != nil {
-		res.BottleneckStats = tb.watch.Queue().Stats()
-	}
-	for _, sw := range tb.switches {
-		res.NoRouteDrops += sw.DroppedNoRoute
-	}
-	res.EventsFired = tb.group.Fired()
-	return res, nil
+	senderJ := make([]float64, len(tb.senderIdx))
+	totalSenderJ, receiverJ := tb.closeWindow(done, senderJ)
+	return tb.runResult(done, senderJ, totalSenderJ, receiverJ, tb.group.Fired()), nil
 }

@@ -238,30 +238,15 @@ func (tb *Testbed) RunStream(stream FlowStream, ccaName string, adm Admission, d
 	}
 	sr.arrival = tb.Engine.NewTimer(sr.onArrival)
 
-	// Bracket the measurement exactly as Run does. Meters a fat-tree
-	// stream first touches mid-run begin integrating at first use (they
-	// were idle before); callers wanting full-window bracketing for every
-	// host should TouchHost them first.
-	for _, s := range tb.Sensors {
-		tb.measures = append(tb.measures, s.Begin())
-	}
+	// Bracket the measurement exactly as Run does. Every meter the run
+	// reads must exist by now: on a fat-tree, TouchHost the hosts the
+	// stream will use first.
+	tb.beginWindow()
 
 	// Pull the first arrival and arm the clock.
 	sr.advance()
 
-	var sample func()
-	sample = func() {
-		if sr.finished {
-			return
-		}
-		for _, m := range tb.Meters {
-			m.Sync()
-		}
-		if tb.Engine.Now() < sim.Time(deadline) {
-			tb.Engine.After(tb.opts.SyncEvery, sample)
-		}
-	}
-	tb.Engine.After(tb.opts.SyncEvery, sample)
+	tb.sampleUntil(tb.Engine, tb.Meters, func() bool { return sr.finished }, deadline)
 	tb.Engine.RunUntil(sim.Time(deadline))
 
 	if sr.err != nil {
@@ -509,8 +494,8 @@ func (sr *streamRun) fail(err error) {
 	sr.arrival.Stop()
 }
 
-// maybeFinish collects the energy bracket at the instant the last flow of
-// an exhausted stream completes, mirroring Run's collect.
+// maybeFinish closes the energy window at the instant the last flow of an
+// exhausted stream completes, exactly as Run does.
 func (sr *streamRun) maybeFinish() {
 	if sr.finished || !sr.exhausted || sr.active > 0 || sr.queueLen() > 0 {
 		return
@@ -518,19 +503,7 @@ func (sr *streamRun) maybeFinish() {
 	tb := sr.tb
 	sr.finished = true
 	sr.doneAt = tb.Engine.Now()
-	for _, m := range tb.Meters {
-		m.Sync()
-	}
-
-	// Draw order — senders in registration order, then receivers — is the
-	// same determinism contract as Run's collect.
-	var senderJ, recvJ float64
-	for _, i := range tb.senderIdx {
-		senderJ += tb.measures[i].EndPackage() * (1 + tb.rng.Normal(0, tb.opts.MeasureNoise))
-	}
-	for _, i := range tb.recvIdx {
-		recvJ += tb.measures[i].EndPackage() * (1 + tb.rng.Normal(0, tb.opts.MeasureNoise))
-	}
+	senderJ, recvJ := tb.closeWindow(sr.doneAt, nil)
 
 	sr.res.TotalSenderJ = senderJ
 	sr.res.ReceiverEnergyJ = recvJ

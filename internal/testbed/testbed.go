@@ -492,96 +492,35 @@ func (tb *Testbed) Run(deadline sim.Duration) (RunResult, error) {
 		return tb.runSharded(deadline)
 	}
 
-	// Bracket the measurement exactly as the paper does: read every
-	// host's energy counter before the experiment...
-	for _, s := range tb.Sensors {
-		tb.measures = append(tb.measures, s.Begin())
-	}
+	tb.beginWindow()
 	tb.Monitor.Start()
 	for _, c := range tb.clients {
 		c.Start()
 	}
 
-	// ... and after it — at the instant the last flow completes, exactly
-	// as the paper's scripts bracket each iperf3 run.
+	// Close the window at the exact completion instant: the sampler alone
+	// would quantize the measurement window to SyncEvery.
 	var done sim.Time
 	finished := false
-	var senderJ []float64
-	var recvJ float64
-	noise := func() float64 { return 1 + tb.rng.Normal(0, tb.opts.MeasureNoise) }
-	collect := func() {
-		finished = true
-		done = tb.Engine.Now()
-		tb.Monitor.Stop()
-		// Draw order — senders in registration order, then receivers — is
-		// part of the determinism contract: the dumbbell's golden digests
-		// depend on it.
-		for _, i := range tb.senderIdx {
-			senderJ = append(senderJ, tb.measures[i].EndPackage()*noise())
-		}
-		for _, i := range tb.recvIdx {
-			recvJ += tb.measures[i].EndPackage() * noise()
-		}
-	}
-	// Collect at the exact completion instant: the sampler alone would
-	// quantize the measurement window to SyncEvery.
+	senderJ := make([]float64, len(tb.senderIdx))
+	var totalSenderJ, receiverJ float64
 	for _, c := range tb.clients {
 		c.OnDone(func() {
 			if !finished && tb.allDone() {
-				for _, m := range tb.Meters {
-					m.Sync()
-				}
-				collect()
+				finished = true
+				done = tb.Engine.Now()
+				tb.Monitor.Stop()
+				totalSenderJ, receiverJ = tb.closeWindow(done, senderJ)
 			}
 		})
 	}
-	var sample func()
-	sample = func() {
-		if finished {
-			return
-		}
-		for _, m := range tb.Meters {
-			m.Sync()
-		}
-		if tb.Engine.Now() < sim.Time(deadline) {
-			tb.Engine.After(tb.opts.SyncEvery, sample)
-		}
-	}
-	tb.Engine.After(tb.opts.SyncEvery, sample)
+	tb.sampleUntil(tb.Engine, tb.Meters, func() bool { return finished }, deadline)
 	tb.Engine.RunUntil(sim.Time(deadline))
 
 	if !finished {
-		if tb.allDone() {
-			// Flows finished between the last sample and the deadline.
-			collect()
-		} else {
-			return RunResult{}, fmt.Errorf("testbed: flows incomplete at deadline %v", deadline)
-		}
+		return RunResult{}, fmt.Errorf("testbed: flows incomplete at deadline %v", deadline)
 	}
-
-	res := RunResult{Duration: done}
-	for _, c := range tb.clients {
-		if !tb.opts.StreamStats {
-			res.Reports = append(res.Reports, c.Report())
-		}
-		res.Retransmits += c.Sender().Retransmits
-	}
-	res.SenderEnergyJ = senderJ
-	for _, j := range senderJ {
-		res.TotalSenderJ += j
-	}
-	res.ReceiverEnergyJ = recvJ
-	if s := res.Duration.Seconds(); s > 0 {
-		res.AvgSenderPowerW = res.TotalSenderJ / s
-	}
-	if tb.watch != nil {
-		res.BottleneckStats = tb.watch.Queue().Stats()
-	}
-	for _, sw := range tb.switches {
-		res.NoRouteDrops += sw.DroppedNoRoute
-	}
-	res.EventsFired = tb.Engine.Fired()
-	return res, nil
+	return tb.runResult(done, senderJ, totalSenderJ, receiverJ, tb.Engine.Fired()), nil
 }
 
 func (tb *Testbed) allDone() bool {

@@ -1,19 +1,22 @@
 package greenenvy
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"greenenvy/internal/scenario"
 )
 
-// The behavior-preservation contract of the scenario refactor: the fig1 and
-// fattree-incast experiments re-expressed as declarative specs must produce
-// BYTE-IDENTICAL tables to the handwritten implementations at the same
-// Options — for any worker count, since same-seed-same-bytes holds across
-// parallelism. A drift here means the compiler's construction sequence
-// diverged from the handwritten one (different RNG draw order, different
-// config defaults, different table rendering) and the spec form is no
-// longer a faithful spelling of the experiment.
+// fig1 and fattree-incast are builtin scenario specs (scenario.Fig1,
+// scenario.FatTreeIncast). Their tables and SVGs are pinned by sha256 to
+// the bytes the experiments printed before they became specs, so the
+// compiled form stays a faithful spelling of each experiment: a drift
+// means the compiler's construction sequence changed (RNG draw order,
+// config defaults, rendering). Same-seed-same-bytes makes the pins hold
+// for every worker count, and separately for the monolithic and sharded
+// engines.
 
 // loadSpec parses one of the shipped example specs.
 func loadSpec(t *testing.T, path string) scenario.Spec {
@@ -39,33 +42,81 @@ func runCompiled(t *testing.T, spec scenario.Spec, o Options) Result {
 	return res
 }
 
-func TestScenarioFig1ByteIdentity(t *testing.T) {
-	spec := loadSpec(t, "examples/scenarios/fig1.json")
-	for _, workers := range []int{1, 4} {
-		o := Options{Reps: 2, Scale: 0.001, Seed: 1, Workers: workers, NoCache: true}
-		want, err := RunFig1(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := runCompiled(t, spec, o)
-		if got.Table() != want.Table() {
-			t.Errorf("workers=%d: scenario table diverges from handwritten fig1\n--- handwritten ---\n%s--- scenario ---\n%s",
-				workers, want.Table(), got.Table())
-		}
+// sha256Hex is the hex sha256 of s.
+func sha256Hex(s string) string {
+	sum := sha256.Sum256([]byte(s))
+	return hex.EncodeToString(sum[:])
+}
+
+// checkPins compares a result's table and SVG against their pins.
+func checkPins(t *testing.T, what string, res Result, table, svg string) {
+	t.Helper()
+	if got := sha256Hex(res.Table()); got != table {
+		t.Errorf("%s: table sha256 %s, pinned %s\n%s", what, got, table, res.Table())
+	}
+	doc, err := res.SVG()
+	if err != nil {
+		t.Fatalf("%s: SVG: %v", what, err)
+	}
+	if got := sha256Hex(doc); got != svg {
+		t.Errorf("%s: SVG sha256 %s, pinned %s", what, got, svg)
 	}
 }
 
-func TestScenarioFatTreeIncastByteIdentity(t *testing.T) {
-	spec := loadSpec(t, "examples/scenarios/fattree-incast.json")
-	o := Options{Reps: 1, Scale: 0.001, Seed: 1, Workers: 2, NoCache: true}
-	want, err := RunFatTreeIncast(o)
-	if err != nil {
-		t.Fatal(err)
+func TestFig1GoldenPins(t *testing.T) {
+	const (
+		table = "0d9bde9d0d517018d49b23bdb159c739747c15955e0939fcf6d2c9fd5aae86ef"
+		svg   = "59fba6609de0ef5a3d8cac1cba12a9e14bfd3f3ae6d57ebcd47d6d637334e055"
+	)
+	for _, workers := range []int{1, 4} {
+		res, err := RunFig1(Options{Reps: 2, Scale: 0.001, Seed: 1, Workers: workers, NoCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPins(t, fmt.Sprintf("fig1 workers=%d", workers), res, table, svg)
 	}
-	got := runCompiled(t, spec, o)
-	if got.Table() != want.Table() {
-		t.Errorf("scenario table diverges from handwritten fattree-incast\n--- handwritten ---\n%s--- scenario ---\n%s",
-			want.Table(), got.Table())
+}
+
+func TestFatTreeIncastGoldenPins(t *testing.T) {
+	pins := []struct {
+		shards     int
+		table, svg string
+	}{
+		{0, "bf55652a5fadf1a0a556687cefb493677307800cfe1c464a2b72dc30687dede4", "38b774f970123519084b5dfdd02062619170c0a986a492421eb0a69e0b0be84b"},
+		{2, "04b38f8ff8c82423d87ac3fb9cc763f65c069d06314c704f494414e3c84736ff", "f8a592292263db11c30258712a030cd1dfb9e3c648b57bb8084009cfb47202f2"},
+	}
+	for _, p := range pins {
+		res, err := RunFatTreeIncast(Options{Reps: 1, Scale: 0.001, Seed: 1, Workers: 2, Shards: p.shards, NoCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPins(t, fmt.Sprintf("fattree-incast shards=%d", p.shards), res, p.table, p.svg)
+	}
+}
+
+// TestBuiltinSpecsMatchExamples keeps the shipped example specs faithful:
+// each must describe exactly the physics (the Digest) of the builtin it
+// re-spells, so running the example reproduces the registered experiment.
+func TestBuiltinSpecsMatchExamples(t *testing.T) {
+	for name, path := range map[string]string{
+		"fig1":           "examples/scenarios/fig1.json",
+		"fattree-incast": "examples/scenarios/fattree-incast.json",
+	} {
+		builtin, _, ok := scenario.Builtin(name)
+		if !ok {
+			t.Fatalf("no builtin %q", name)
+		}
+		want, err := builtin.Digest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := loadSpec(t, path).Digest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s digests to %s, builtin %q to %s", path, got, name, want)
+		}
 	}
 }
 

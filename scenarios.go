@@ -24,15 +24,60 @@ func init() {
 	if scenario.CachePrefix != "scenario/" {
 		panic("greenenvy: scenario.CachePrefix diverged from the audited \"scenario/\" namespace")
 	}
+	RegisterScenario("fig1")
+	RegisterScenario("fattree-incast")
 	RegisterScenario("aqm-matrix")
 }
 
+// Fig1Result reproduces Figure 1: "Increasing throughput imbalance for two
+// competing TCP flows can reduce energy usage."
+type Fig1Result = scenario.FractionResult
+
+// Fig1Point is one x-position of the paper's Figure 1: the bandwidth
+// fraction allocated to flow 1 and the measured total sender energy.
+type Fig1Point = scenario.FractionPoint
+
+// FatTreeIncastResult sweeps synchronized cross-rack fan-in on a fat-tree.
+type FatTreeIncastResult = scenario.FanInResult
+
+// FatTreeIncastPoint is one fan-in width of the fat-tree incast sweep.
+type FatTreeIncastPoint = scenario.FanInPoint
+
+// RunFig1 sweeps the bandwidth fraction given to flow 1 (via weighted fair
+// queueing at the bottleneck, work-conserving exactly as §1 describes) and
+// measures total sender energy from experiment start until both flows
+// complete. The paper's result: the fair split is worst; the serial
+// schedule saves ≈16 %. It runs the registered fig1 spec (scenario.Fig1).
+func RunFig1(o Options) (Fig1Result, error) { return runRegistered[Fig1Result]("fig1", o) }
+
+// RunFatTreeIncast measures fair-vs-serial energy for synchronized senders
+// spread across the racks of a k-ary fat-tree, all converging on one
+// receiver host. Fair imposes equal weights with a DRR on the receiver's
+// edge downlink; serial chains the transfers. The 1024-sender width only
+// runs at Scale >= 0.25 so tiny-scale smoke runs stay cheap. It runs the
+// registered fattree-incast spec (scenario.FatTreeIncast).
+func RunFatTreeIncast(o Options) (FatTreeIncastResult, error) {
+	return runRegistered[FatTreeIncastResult]("fattree-incast", o)
+}
+
+// runRegistered runs a registered experiment and returns its result as the
+// concrete type its runner produces.
+func runRegistered[R Result](name string, o Options) (R, error) {
+	var zero R
+	e, _ := LookupExperiment(name)
+	res, err := e.Run(o)
+	if err != nil {
+		return zero, err
+	}
+	return res.(R), nil
+}
+
 // RegisterScenario compiles the named built-in spec (scenario.Builtin) and
-// registers the resulting experiment. It panics on unknown names and
-// non-compiling specs: built-ins register at init time, so a failure is a
-// programmer error, not a runtime condition.
+// registers the resulting experiment under the builtin's aliases. It
+// panics on unknown names and non-compiling specs: built-ins register at
+// init time, so a failure is a programmer error, not a runtime condition.
 func RegisterScenario(name string) {
-	spec, ok := scenario.Builtin(name)
+	spec, aliases, ok := scenario.Builtin(name)
 	if !ok {
 		panic(fmt.Sprintf("greenenvy: no built-in scenario %q (have %v)", name, scenario.BuiltinNames()))
 	}
@@ -40,6 +85,7 @@ func RegisterScenario(name string) {
 	if err != nil {
 		panic(fmt.Sprintf("greenenvy: built-in scenario %q does not compile: %v", name, err))
 	}
+	e.Aliases = aliases
 	Register(e)
 }
 
