@@ -7,10 +7,9 @@ import (
 	"strings"
 	"sync"
 
-	"greenenvy/internal/cache"
 	"greenenvy/internal/cca"
 	"greenenvy/internal/iperf"
-	"greenenvy/internal/sim"
+	"greenenvy/internal/registry"
 	"greenenvy/internal/stats"
 	"greenenvy/internal/tcp"
 	"greenenvy/internal/testbed"
@@ -105,9 +104,9 @@ var (
 
 // sweepKey is the in-memory sweep cache key. It must contain every
 // result-affecting Options field and nothing else: Workers only changes
-// wall-clock time, Verbose only logging, CacheDir/NoCache only where
-// results are persisted, and Shards nothing at all on the dumbbell (a
-// single partition) — a sweep computed without a cache directory is
+// wall-clock time, Verbose only logging, CacheDir only where results are
+// persisted, and Shards nothing at all on the dumbbell (a single
+// partition) — a sweep computed without a cache directory is
 // byte-identical to one computed with it. TestSweepKeyAuditsOptionsFields
 // enforces this classification for every current and future field.
 func sweepKey(o Options) string {
@@ -151,78 +150,62 @@ func RunCCASweep(o Options) (*SweepResult, error) {
 	return e.res, e.err
 }
 
-// runCCASweep executes the sweep itself: every (CCA, MTU, repetition) task
-// is submitted to one shared worker pool — no per-cell barriers — and the
-// cells are reassembled in cca.PaperOrder() × SweepMTUs order afterwards.
-// Per-repetition seeds depend only on (Seed, repetition index), exactly as
-// the serial repeatRuns path derives them, so the assembled SweepResult is
-// identical for any Workers value.
+// runCCASweep executes the sweep itself: each (CCA, MTU) cell is one
+// registry.RepeatRuns call with its repetitions run serially (the 40 cells
+// already fill the pool), and the cells fan out over Options.Workers with
+// no barriers between them. Cells are placed in
+// cca.PaperOrder() × SweepMTUs order, and per-repetition seeds depend only
+// on (Seed, repetition index), so the SweepResult is identical for any
+// Workers value.
 func runCCASweep(o Options) (*SweepResult, error) {
 	bytes := uint64(float64(paperTransferBytes) * o.Scale)
 	res := &SweepResult{Bytes: bytes, ScaleToPaper: float64(paperTransferBytes) / float64(bytes)}
-
-	type cellSpec struct {
-		cca string
-		mtu int
-	}
-	var specs []cellSpec
 	for _, name := range cca.PaperOrder() {
 		for _, mtu := range SweepMTUs {
-			specs = append(specs, cellSpec{name, mtu})
+			res.Cells = append(res.Cells, SweepCell{CCA: name, MTU: mtu})
 		}
 	}
 
-	root := sim.NewRNG(o.Seed)
-	seeds := make([]uint64, o.Reps)
-	for i := range seeds {
-		seeds[i] = root.Split(uint64(i)).Uint64()
-	}
-
-	deadline := deadlineFor(bytes) * 4
-	runs := make([][]testbed.RunResult, len(specs))
-	for i := range runs {
-		runs[i] = make([]testbed.RunResult, o.Reps)
-	}
-	store := o.CacheStore()
-	err := testbed.ForEach(len(specs)*o.Reps, o.Workers, func(task int) error {
-		s, rep := specs[task/o.Reps], task%o.Reps
-		// Per-(cell, repetition) memoization: the key is the cell's
-		// result-affecting inputs plus the repetition seed (which already
-		// encodes Options.Seed and the repetition index), so raising Reps
-		// against a warm cache computes only the new repetitions.
-		ck := cache.NewKey("sweep", s.cca, s.mtu, bytes, seeds[rep])
-		var cached testbed.RunResult
-		if store.Get(ck, &cached) {
-			runs[task/o.Reps][rep] = cached
-			return nil
-		}
-		tb := testbed.New(testbed.Options{Seed: seeds[rep]})
-		if _, err := tb.AddFlow(0, iperf.Spec{
-			Bytes:  bytes,
-			CCA:    s.cca,
-			Config: tcp.Config{MTU: s.mtu},
-		}); err != nil {
-			return fmt.Errorf("%s/%d: %w", s.cca, s.mtu, err)
-		}
-		r, err := tb.Run(deadline)
+	deadline := registry.DeadlineFor(bytes) * 4
+	cellOpts := o
+	cellOpts.Workers = 1
+	err := registry.ForEach(len(res.Cells), o.Workers, func(i int) error {
+		c := &res.Cells[i]
+		id := fmt.Sprintf("sweep/%s/mtu=%d/bytes=%d", c.CCA, c.MTU, bytes)
+		runs, err := registry.RepeatRuns(cellOpts, id, func(seed uint64) (*testbed.Testbed, error) {
+			tb := testbed.New(testbed.Options{Seed: seed})
+			_, err := tb.AddFlow(0, iperf.Spec{Bytes: bytes, CCA: c.CCA, Config: tcp.Config{MTU: c.MTU}})
+			return tb, err
+		}, deadline)
 		if err != nil {
-			return fmt.Errorf("%s/%d repetition %d: %w", s.cca, s.mtu, rep, err)
+			return fmt.Errorf("%s/%d: %w", c.CCA, c.MTU, err)
 		}
-		_ = store.Put(ck, r)
-		runs[task/o.Reps][rep] = r
+		*c = cellFromRuns(c.CCA, c.MTU, runs)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	for ci, s := range specs {
-		cell := cellFromRuns(s.cca, s.mtu, runs[ci])
+	for _, c := range res.Cells {
 		o.Logf("sweep: %-9s mtu %-5d energy %s J  fct %s s  retx %s",
-			s.cca, s.mtu, stats.Summary(cell.EnergyJ), stats.Summary(cell.FCTSecs), stats.Summary(cell.Retx))
-		res.Cells = append(res.Cells, cell)
+			c.CCA, c.MTU, stats.Summary(c.EnergyJ), stats.Summary(c.FCTSecs), stats.Summary(c.Retx))
 	}
 	return res, nil
+}
+
+// cellFromRuns assembles the per-repetition measurement vectors of one
+// (CCA, MTU) cell from single-flow runs. The CCA sweep (Figures 5–8) and
+// the production benchmark share this shape.
+func cellFromRuns(ccaName string, mtu int, runs []testbed.RunResult) SweepCell {
+	cell := SweepCell{CCA: ccaName, MTU: mtu}
+	for _, r := range runs {
+		e := r.SenderEnergyJ[0]
+		cell.EnergyJ = append(cell.EnergyJ, e)
+		cell.FCTSecs = append(cell.FCTSecs, r.Duration.Seconds())
+		cell.PowerW = append(cell.PowerW, e/r.Duration.Seconds())
+		cell.Retx = append(cell.Retx, float64(r.Retransmits))
+	}
+	return cell
 }
 
 // --- Figure 5: total energy per CCA × MTU ---

@@ -98,13 +98,18 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "cleared cache %s\n", *cacheDir)
 	}
+	// -no-cache is an empty cache directory, applied after -cache-clear so
+	// `-no-cache -cache-clear` still empties the directory.
+	if *noCache {
+		*cacheDir = ""
+	}
 
 	o := greenenvy.Options{
 		Reps: *reps, Scale: *scale, Seed: *seed, Workers: *workers, Shards: *shards,
-		CacheDir: *cacheDir, NoCache: *noCache, Verbose: !*quiet,
+		CacheDir: *cacheDir, Verbose: !*quiet,
 	}
 	err := run(*fig, o, *svgDir)
-	printCacheStats(*cacheDir, *noCache)
+	printCacheStats(*cacheDir)
 
 	if *memprofile != "" {
 		f, merr := os.Create(*memprofile)
@@ -144,8 +149,8 @@ func printList() {
 // invocation on stderr: how many per-repetition results were replayed from
 // disk versus simulated. Silent when the cache is disabled or untouched
 // (analytic-only figures never consult it).
-func printCacheStats(dir string, noCache bool) {
-	if dir == "" || noCache {
+func printCacheStats(dir string) {
+	if dir == "" {
 		return
 	}
 	st := greenenvy.CacheStatsFor(dir)

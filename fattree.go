@@ -7,6 +7,7 @@ import (
 	"greenenvy/internal/core"
 	"greenenvy/internal/iperf"
 	"greenenvy/internal/netsim"
+	"greenenvy/internal/registry"
 	"greenenvy/internal/sim"
 	"greenenvy/internal/testbed"
 )
@@ -113,7 +114,7 @@ func RunCrossRack(o Options) (CrossRackResult, error) {
 	if err != nil {
 		return CrossRackResult{}, err
 	}
-	bytes := uint64(10 * paperGbit * o.Scale)
+	bytes := uint64(10 * registry.PaperGbit * o.Scale)
 	if bytes == 0 {
 		return CrossRackResult{}, fmt.Errorf("greenenvy: scale too small")
 	}
@@ -154,10 +155,10 @@ func RunCrossRack(o Options) (CrossRackResult, error) {
 		analytic[f] = sav * 100
 	}
 
-	deadline := deadlineFor(2 * bytes)
+	deadline := registry.DeadlineFor(2 * bytes)
 	for _, f := range fractions {
 		id := fmt.Sprintf("crossrack/k=%d/ecmp=%d/frac=%.2f/bytes=%d/sh=%d", k, o.Seed, f, bytes, o.ShardTag())
-		aggs, err := runCell(o, id, func(seed uint64) (*testbed.Testbed, error) {
+		aggs, err := registry.RunCell(o, id, func(seed uint64) (*testbed.Testbed, error) {
 			cfg := baseCfg
 			if f < 1.0 {
 				cfg.NewQueue = func(port netsim.FatTreePort) netsim.Queue {
@@ -192,7 +193,7 @@ func RunCrossRack(o Options) (CrossRackResult, error) {
 				c2.StartAfter(c1)
 			}
 			return tb, nil
-		}, deadline, senderJoules, eventsFired)
+		}, deadline, registry.SenderJoules, registry.EventsFired)
 		if err != nil {
 			return CrossRackResult{}, fmt.Errorf("crossrack fraction %v: %w", f, err)
 		}

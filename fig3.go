@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"strings"
 
-	"greenenvy/internal/cache"
 	"greenenvy/internal/iperf"
 	"greenenvy/internal/netsim"
+	"greenenvy/internal/registry"
 	"greenenvy/internal/sim"
 	"greenenvy/internal/testbed"
 )
@@ -42,44 +42,43 @@ func RunFig3(o Options) (Fig3Result, error) {
 	if err != nil {
 		return Fig3Result{}, err
 	}
-	bytes := uint64(10 * paperGbit * o.Scale)
+	bytes := uint64(10 * registry.PaperGbit * o.Scale)
 	res := Fig3Result{FlowGbit: float64(bytes) * 8 / 1e9}
 
-	store := o.CacheStore()
 	trace := func(serial bool) ([]Fig3Sample, error) {
-		// Traces are not RunResults, so they get their own cached value
-		// type; the key carries the scenario, size, and seed.
-		key := cache.NewKey("fig3/trace", serial, bytes, o.Seed)
-		var cached []Fig3Sample
-		if store.Get(key, &cached) {
-			return cached, nil
-		}
-		tb := testbed.New(testbed.Options{Senders: 2, UseDRR: !serial, Seed: o.Seed})
-		c1, err := tb.AddFlow(0, iperf.Spec{Bytes: bytes, CCA: "cubic"})
-		if err != nil {
-			return nil, err
-		}
-		c2, err := tb.AddFlow(1, iperf.Spec{Bytes: bytes, CCA: "cubic"})
-		if err != nil {
-			return nil, err
-		}
-		f1, f2 := c1.Report().Flow, c2.Report().Flow
+		name := "fair"
 		if serial {
-			c2.StartAfter(c1)
-		} else {
-			if err := tb.SetWeight(f1, 0.5); err != nil {
+			name = "serial"
+		}
+		// Traces are not RunResults, so they cache under their own value
+		// kind; a trace is one run at the experiment seed, not a repetition.
+		id := fmt.Sprintf("fig3/%s/bytes=%d", name, bytes)
+		return registry.Cached(o, "trace", id, o.Seed, func(seed uint64) ([]Fig3Sample, error) {
+			tb := testbed.New(testbed.Options{Senders: 2, UseDRR: !serial, Seed: seed})
+			c1, err := tb.AddFlow(0, iperf.Spec{Bytes: bytes, CCA: "cubic"})
+			if err != nil {
 				return nil, err
 			}
-			if err := tb.SetWeight(f2, 0.5); err != nil {
+			c2, err := tb.AddFlow(1, iperf.Spec{Bytes: bytes, CCA: "cubic"})
+			if err != nil {
 				return nil, err
 			}
-		}
-		if _, err := tb.Run(deadlineFor(2 * bytes)); err != nil {
-			return nil, err
-		}
-		samples := mergeSeries(tb.Monitor.Series(f1), tb.Monitor.Series(f2))
-		_ = store.Put(key, samples)
-		return samples, nil
+			f1, f2 := c1.Report().Flow, c2.Report().Flow
+			if serial {
+				c2.StartAfter(c1)
+			} else {
+				if err := tb.SetWeight(f1, 0.5); err != nil {
+					return nil, err
+				}
+				if err := tb.SetWeight(f2, 0.5); err != nil {
+					return nil, err
+				}
+			}
+			if _, err := tb.Run(registry.DeadlineFor(2 * bytes)); err != nil {
+				return nil, err
+			}
+			return mergeSeries(tb.Monitor.Series(f1), tb.Monitor.Series(f2)), nil
+		})
 	}
 
 	if res.Fair, err = trace(false); err != nil {

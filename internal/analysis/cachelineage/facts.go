@@ -11,8 +11,8 @@ package cachelineage
 //     experiments through ShardTag ("/sh=<bit>" in their cache ids) but
 //     deliberately stays out of sweepKey — the dumbbell sweep is a single
 //     partition and byte-identical for every Shards value; Workers,
-//     CacheDir, NoCache, and Verbose change wall-clock, persistence, and
-//     logging only and must never reach a simulation input.
+//     CacheDir, and Verbose change wall-clock, persistence, and logging
+//     only and must never reach a simulation input.
 //   - scenario.Spec: Preset, Topology, Flows, Loads, and Sweep are the
 //     physics a spec digest is computed over (digestPayload); Name,
 //     Description, Section, and Order are presentation — retitling an
@@ -34,7 +34,6 @@ var Audits = []Audit{
 			"Shards":   CacheTagged,
 			"Workers":  Exempt,
 			"CacheDir": Exempt,
-			"NoCache":  Exempt,
 			"Verbose":  Exempt,
 		},
 		Carriers: []string{"testbed.Options", "netsim.DumbbellConfig", "netsim.FatTreeConfig", "iperf.Spec"},

@@ -11,8 +11,8 @@ package registryhygiene
 //   - the registryhygiene analyzer statically requires every
 //     Register(Experiment{Name: ...}) call to have an entry here, and the
 //     non-empty prefixes to appear as string literals in the package (the
-//     cache.NewKey / repeatRuns id sites), so a new experiment cannot
-//     compile without declaring how it keys the cache;
+//     registry.RunCell / RepeatRuns / Cached id sites), so a new
+//     experiment cannot compile without declaring how it keys the cache;
 //   - TestExperimentCacheIDFacts (root package) dynamically requires the
 //     registered set and this table to stay in bijection and the prefixes
 //     to stay collision-free, so an entry cannot go stale either.
@@ -26,7 +26,7 @@ package registryhygiene
 // entry to be exactly this constant.
 const ScenarioCacheIDPrefix = "scenario/"
 
-// Figures 5–8 intentionally share the "sweep" id: they are four views over
+// Figures 5–8 intentionally share the "sweep/" id prefix: they are four views over
 // the one CCA sweep dataset and must share its cached repetitions.
 // "fig1", "fattree-incast" and "aqm-matrix" are scenario-compiled (see
 // ScenarioCacheIDPrefix).
@@ -35,10 +35,10 @@ var ExperimentCacheIDs = map[string]string{
 	"fig2":               "fig2/",
 	"fig3":               "fig3/",
 	"fig4":               "fig4/",
-	"fig5":               "sweep",
-	"fig6":               "sweep",
-	"fig7":               "sweep",
-	"fig8":               "sweep",
+	"fig5":               "sweep/",
+	"fig6":               "sweep/",
+	"fig7":               "sweep/",
+	"fig8":               "sweep/",
 	"theorem":            "", // closed form: no simulation, no cache entries
 	"scheduler":          "", // closed form
 	"frontier":           "", // closed form

@@ -19,7 +19,7 @@ func Register(e Experiment) {}
 
 func runStub(Options) (*Result, error) { return nil, nil }
 
-// goodCacheID stands in for the repeatRuns/cache.NewKey id site: the
+// goodCacheID stands in for the registry.RepeatRuns/Cached id site: the
 // literal carrying the declared "good/" prefix.
 const goodCacheID = "good/run"
 

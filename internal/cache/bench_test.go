@@ -6,9 +6,8 @@ import (
 	"greenenvy/internal/perf"
 )
 
-// The bodies live in internal/perf (an external test package here avoids
-// the cache → perf → cache import cycle) so cmd/simbench can record the
-// same numbers into BENCH_sim.json.
+// The bodies live in internal/perf with the other microbenchmarks; an
+// external test package here avoids the cache → perf → cache import cycle.
 
 func BenchmarkSweepCacheWarm(b *testing.B) { perf.BenchSweepCacheWarm(b) }
 func BenchmarkSweepCacheCold(b *testing.B) { perf.BenchSweepCacheCold(b) }

@@ -1,8 +1,7 @@
 package netsim_test
 
-// Packet-path microbenchmarks. The bodies live in internal/perf so that
-// cmd/simbench can run the identical code and record the results in
-// BENCH_sim.json; these wrappers expose them to `go test -bench`.
+// Packet-path microbenchmarks. The bodies live in internal/perf, shared with
+// the other packages' wrappers; these expose them to `go test -bench`.
 
 import (
 	"testing"

@@ -1,11 +1,9 @@
 // Package perf holds the simulator's microbenchmark bodies. They live in a
-// normal (non-test) package so two consumers can share them:
-//
-//   - the `go test -bench` wrappers in internal/sim and internal/netsim,
-//     which run them under the standard benchmark harness, and
-//   - cmd/simbench, which runs them via testing.Benchmark and writes the
-//     results to BENCH_sim.json, giving the repo a recorded perf
-//     trajectory from PR to PR.
+// normal (non-test) package so the `go test -bench` wrappers in
+// internal/sim, internal/netsim, internal/testbed and internal/cache can
+// share them across package boundaries (the cache wrappers would otherwise
+// form a cache → perf → cache import cycle). They explain end-to-end
+// numbers; the recorded measurements live in the benchmark/ module.
 //
 // Every body reports allocations: the engine hot path is supposed to be
 // allocation-free, and these benchmarks are where that regression would
@@ -189,7 +187,7 @@ func benchCacheStore(b *testing.B) (s *cache.Store, cleanup func()) {
 func BenchSweepCacheWarm(b *testing.B) {
 	s, cleanup := benchCacheStore(b)
 	defer cleanup()
-	key := cache.NewKey("sweep", "cubic", 1500, uint64(50_000_000), uint64(0x9e3779b97f4a7c15))
+	key := cache.NewKey("run", "sweep/cubic/mtu=1500/bytes=50000000", uint64(0x9e3779b97f4a7c15))
 	if err := s.Put(key, cacheSampleResult()); err != nil {
 		b.Fatal(err)
 	}
@@ -214,7 +212,7 @@ func BenchSweepCacheCold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var out testbed.RunResult
-		if s.Get(cache.NewKey("sweep", "cubic", 1500, uint64(50_000_000), uint64(i)), &out) {
+		if s.Get(cache.NewKey("run", "sweep/cubic/mtu=1500/bytes=50000000", uint64(i)), &out) {
 			b.Fatal("absent key hit")
 		}
 	}
@@ -343,7 +341,7 @@ func BenchWorkloadChurn(b *testing.B) {
 	b.ReportAllocs()
 	var done uint64
 	for i := 0; i < b.N; i++ {
-		tb := testbed.New(testbed.Options{Seed: 1, Senders: senders, StreamStats: true})
+		tb := testbed.New(testbed.Options{Seed: 1, Senders: senders})
 		n := 0
 		stream := testbed.FlowStreamFunc(func() (testbed.FlowArrival, bool) {
 			if n >= flows {
@@ -376,7 +374,7 @@ func BenchWorkloadScaleStreaming(b *testing.B) {
 	b.ReportAllocs()
 	var done uint64
 	for i := 0; i < b.N; i++ {
-		tb := testbed.NewFatTree(testbed.Options{Seed: 1, StreamStats: true}, cfg)
+		tb := testbed.NewFatTree(testbed.Options{Seed: 1}, cfg)
 		hosts := tb.Fat.NumHosts()
 		tb.TouchHost(0, false)
 		for h := 1; h < hosts; h++ {

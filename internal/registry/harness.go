@@ -2,6 +2,8 @@ package registry
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"greenenvy/internal/cache"
 	"greenenvy/internal/sim"
@@ -10,11 +12,13 @@ import (
 )
 
 // This file is the shared run harness behind the registered experiments.
-// RepeatRuns owns repetition fan-out, derived seeds, and persistent-cache
-// threading; RunCell owns the per-cell metric aggregation that every figure
+// RepeatRuns owns repetition fan-out (ForEach, the one worker pool),
+// derived seeds, and persistent-cache threading (Cached, the one cache-key
+// site); RunCell owns the per-cell metric aggregation that every figure
 // used to hand-roll: extract one or more scalars from each repetition's
-// RunResult in run order and summarize them with stats.MeanStd. Experiments
-// keep only their scenario construction and result interpretation.
+// RunResult in run order and summarize them with stats.MeanStd.
+// Experiments keep only their scenario construction and result
+// interpretation.
 
 // BuildFunc constructs one repetition's testbed from its derived seed. It
 // must not capture state shared across repetitions; two call sites with the
@@ -90,30 +94,18 @@ func RepeatStreamRuns(o Options, id string, run func(seed uint64) (testbed.Strea
 }
 
 // repeatCached is the one repetition loop behind RepeatRuns and
-// RepeatStreamRuns: Options.Reps repetitions with seeds derived from
-// Options.Seed by index (testbed.RepeatParallel's derivation), fanned out
-// over Options.Workers, each served from the persistent cache under (kind,
-// id, seed) when present and stored there once computed. Results are
-// placed by repetition index; an error names the failing repetition.
+// RepeatStreamRuns: Options.Reps repetitions, the i-th seeded by
+// Split(i) of an RNG at Options.Seed, fanned out over Options.Workers and
+// each served through Cached. Results are placed by repetition index; an
+// error names the lowest failing repetition.
 func repeatCached[R any](o Options, kind, id string, run func(seed uint64) (R, error)) ([]R, error) {
-	store := o.CacheStore()
 	root := sim.NewRNG(o.Seed)
 	out := make([]R, o.Reps)
-	err := testbed.ForEach(o.Reps, o.Workers, func(rep int) error {
-		seed := root.Split(uint64(rep)).Uint64()
-		key := cache.NewKey(kind, id, seed)
-		var cached R
-		if store.Get(key, &cached) {
-			out[rep] = cached
-			return nil
-		}
-		r, err := run(seed)
+	err := ForEach(o.Reps, o.Workers, func(rep int) error {
+		r, err := Cached(o, kind, id, root.Split(uint64(rep)).Uint64(), run)
 		if err != nil {
 			return fmt.Errorf("repetition %d: %w", rep, err)
 		}
-		// Best-effort: a full disk or unwritable store must not fail the
-		// experiment, only future warm starts.
-		_ = store.Put(key, r)
 		out[rep] = r
 		return nil
 	})
@@ -121,4 +113,79 @@ func repeatCached[R any](o Options, kind, id string, run func(seed uint64) (R, e
 		return nil, err
 	}
 	return out, nil
+}
+
+// Cached returns run(seed), served from the persistent cache under (kind,
+// id, seed) when present and stored there once computed. It is the only
+// place experiments mint cache keys: kind names the cached value's type
+// (so gob shapes evolve independently) and id must encode every
+// result-affecting parameter that seed does not (see RepeatRuns).
+func Cached[R any](o Options, kind, id string, seed uint64, run func(seed uint64) (R, error)) (R, error) {
+	store := o.CacheStore()
+	key := cache.NewKey(kind, id, seed)
+	var cached R
+	if store.Get(key, &cached) {
+		return cached, nil
+	}
+	r, err := run(seed)
+	if err != nil {
+		return r, err
+	}
+	// Best-effort: a full disk or unwritable store must not fail the
+	// experiment, only future warm starts.
+	_ = store.Put(key, r)
+	return r, nil
+}
+
+// ForEach runs fn(0) … fn(n-1) across a pool of `workers` goroutines and
+// waits for completion. Indices are claimed in order but may complete out of
+// order; fn must write its result into a caller-owned slot keyed by index so
+// assembled output does not depend on scheduling. The first error stops the
+// pool from claiming further indices (work already started still finishes)
+// and is returned; when several indices fail, the lowest one's error wins so
+// the error path is as deterministic as the pool allows. workers <= 1 runs
+// serially on the calling goroutine with fail-fast semantics.
+func ForEach(n, workers int, fn func(i int) error) error {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			if err := fn(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+	)
+	errIdx := -1
+	var firstErr error
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n || failed.Load() {
+					return
+				}
+				if err := fn(i); err != nil {
+					failed.Store(true)
+					mu.Lock()
+					if errIdx < 0 || i < errIdx {
+						errIdx, firstErr = i, err
+					}
+					mu.Unlock()
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return firstErr
 }

@@ -34,9 +34,6 @@ type Options struct {
 	// simulating, with byte-identical results. Empty disables persistence
 	// (the in-process sweep cache still applies).
 	CacheDir string
-	// NoCache bypasses the persistent cache even when CacheDir is set:
-	// nothing is read from or written to disk, forcing full recomputation.
-	NoCache bool
 	// Shards, when positive, runs each fat-tree repetition on the sharded
 	// conservative-synchronization engine with up to this many workers
 	// (testbed.Options.Shards). Results for a given topology are

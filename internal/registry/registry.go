@@ -6,8 +6,9 @@
 // hard-coding a dispatch switch per figure.
 //
 // The package also owns Options (the uniform runner configuration), the
-// repetition harness (RunCell / RepeatRuns / RepeatStreamRuns) and the
-// persistent-cache plumbing those helpers thread through, so a compiled
+// repetition harness (RunCell / RepeatRuns / RepeatStreamRuns over ForEach)
+// and the persistent-cache plumbing those helpers thread through (Cached is
+// the only place an experiment's cache key is minted), so a compiled
 // scenario runs through exactly the machinery the handwritten figures use.
 package registry
 
@@ -49,7 +50,7 @@ type Experiment struct {
 	Order int
 	// Run executes the experiment. It must validate its Options (returning
 	// an error, never panicking, on bad input) and honor Reps, Scale,
-	// Seed, Workers, CacheDir/NoCache, and Verbose as applicable.
+	// Seed, Workers, CacheDir, and Verbose as applicable.
 	Run func(Options) (Result, error)
 }
 

@@ -77,9 +77,7 @@ func (tb *Testbed) runResult(done sim.Time, senderJ []float64, totalSenderJ, rec
 		EventsFired:     eventsFired,
 	}
 	for _, c := range tb.clients {
-		if !tb.opts.StreamStats {
-			res.Reports = append(res.Reports, c.Report())
-		}
+		res.Reports = append(res.Reports, c.Report())
 		res.Retransmits += c.Sender().Retransmits
 	}
 	if s := res.Duration.Seconds(); s > 0 {

@@ -17,15 +17,8 @@ import (
 // (control conduits).
 func shardedIncastResult(t *testing.T, workers int) RunResult {
 	t.Helper()
-	return shardedIncastRun(t, Options{Seed: 7, Shards: workers})
-}
-
-// shardedIncastRun runs shardedIncastResult's workload under explicit
-// testbed options.
-func shardedIncastRun(t *testing.T, opts Options) RunResult {
-	t.Helper()
 	cfg := netsim.DefaultFatTree(4)
-	tb := NewFatTree(opts, cfg)
+	tb := NewFatTree(Options{Seed: 7, Shards: workers}, cfg)
 	for _, src := range []netsim.NodeID{4, 8, 12} {
 		if _, err := tb.AddFlowBetween(src, 0, iperf.Spec{Bytes: gbit / 8, CCA: "cubic"}); err != nil {
 			t.Fatal(err)
@@ -96,24 +89,6 @@ func TestShardedFatTreeDeterministicAcrossWorkers(t *testing.T) {
 		if !reflect.DeepEqual(got, golden) {
 			t.Fatalf("RunResult at %d workers diverged from 1 worker:\n got:  %+v\n want: %+v", workers, got, golden)
 		}
-	}
-}
-
-// TestShardedStreamStatsSkipsReports: Options.StreamStats means the same on
-// the sharded engine as on the monolithic one. Reports are not retained,
-// and every aggregate is exactly the retaining run's.
-func TestShardedStreamStatsSkipsReports(t *testing.T) {
-	full := shardedIncastRun(t, Options{Seed: 7, Shards: 2})
-	lean := shardedIncastRun(t, Options{Seed: 7, Shards: 2, StreamStats: true})
-	if lean.Reports != nil {
-		t.Fatalf("StreamStats kept %d reports on the sharded engine", len(lean.Reports))
-	}
-	if len(full.Reports) != 6 {
-		t.Fatalf("reports = %d without StreamStats, want 6", len(full.Reports))
-	}
-	full.Reports = nil
-	if !reflect.DeepEqual(lean, full) {
-		t.Fatalf("StreamStats changed the aggregates:\n got:  %+v\n want: %+v", lean, full)
 	}
 }
 

@@ -209,18 +209,14 @@ type streamRun struct {
 // algorithm; adm decides start-now vs defer per flow. The run fails if the
 // stream has not drained by the deadline.
 //
-// Requires Options.StreamStats (the caller's explicit opt-in to per-flow
-// retention being skipped) and the monolithic engine (see the file
-// comment). The throughput monitor is not wired — per-flow observation is
-// per-flow retention by another name.
+// Requires the monolithic engine (see the file comment). The throughput
+// monitor is not wired — per-flow observation is per-flow retention by
+// another name.
 func (tb *Testbed) RunStream(stream FlowStream, ccaName string, adm Admission, deadline sim.Duration) (StreamResult, error) {
 	if tb.ran {
 		return StreamResult{}, fmt.Errorf("testbed: RunStream called twice; build a fresh testbed per run")
 	}
 	tb.ran = true
-	if !tb.opts.StreamStats {
-		return StreamResult{}, fmt.Errorf("testbed: RunStream requires Options.StreamStats")
-	}
 	if tb.group != nil {
 		return StreamResult{}, fmt.Errorf("testbed: RunStream needs the monolithic engine; build the testbed with Shards = 0")
 	}

@@ -6,15 +6,14 @@
 // measurement bracketing each run.
 //
 // One Testbed is one experiment run. The paper repeats each scenario ten
-// times and reports standard deviations; Repeat drives that loop with a
-// per-repetition seed that perturbs start times and measurement noise the
-// way a physical lab run would.
+// times and reports standard deviations; each repetition builds a fresh
+// testbed from its own seed, which perturbs start times and measurement
+// noise the way a physical lab run would (internal/registry derives the
+// seeds and fans the repetitions out).
 package testbed
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"greenenvy/internal/energy"
 	"greenenvy/internal/iperf"
@@ -50,11 +49,6 @@ type Options struct {
 	MeasureNoise float64
 	// SyncEvery is the energy integration granularity (default 1 ms).
 	SyncEvery sim.Duration
-	// StreamStats opts into streaming aggregation: per-flow Reports are
-	// not retained (Run leaves RunResult.Reports nil; aggregate fields are
-	// still populated) and RunStream becomes available. The explicit flag
-	// keeps "results got smaller" a caller decision, never a surprise.
-	StreamStats bool
 	// Shards, when positive, runs fat-tree testbeds on the sharded
 	// conservative-synchronization engine with up to this many workers
 	// (clamped to the partition count, one shard per pod). Results are
@@ -530,89 +524,4 @@ func (tb *Testbed) allDone() bool {
 		}
 	}
 	return true
-}
-
-// Repeat runs build-and-run n times with per-repetition seeds derived from
-// baseSeed and returns all results. The build function receives the
-// repetition index and its seed and must construct, populate, and run a
-// fresh testbed.
-func Repeat(n int, baseSeed uint64, run func(rep int, seed uint64) (RunResult, error)) ([]RunResult, error) {
-	return RepeatParallel(n, baseSeed, 1, run)
-}
-
-// RepeatParallel is Repeat over a pool of `workers` goroutines. Each
-// repetition derives its seed from baseSeed by index and runs on its own
-// engine, so results are placed by repetition index and are byte-identical
-// to the serial path regardless of worker count or scheduling. workers <= 1
-// reproduces Repeat exactly. If a repetition fails, outstanding repetitions
-// are cancelled and the error names the failing index (when several fail,
-// the lowest failing index wins).
-func RepeatParallel(n int, baseSeed uint64, workers int, run func(rep int, seed uint64) (RunResult, error)) ([]RunResult, error) {
-	root := sim.NewRNG(baseSeed)
-	out := make([]RunResult, n)
-	err := ForEach(n, workers, func(i int) error {
-		r, err := run(i, root.Split(uint64(i)).Uint64())
-		if err != nil {
-			return fmt.Errorf("repetition %d: %w", i, err)
-		}
-		out[i] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ForEach runs fn(0) … fn(n-1) across a pool of `workers` goroutines and
-// waits for completion. Indices are claimed in order but may complete out of
-// order; fn must write its result into a caller-owned slot keyed by index so
-// assembled output does not depend on scheduling. The first error stops the
-// pool from claiming further indices (work already started still finishes)
-// and is returned; when several indices fail, the lowest one's error wins so
-// the error path is as deterministic as the pool allows. workers <= 1 runs
-// serially on the calling goroutine with fail-fast semantics.
-func ForEach(n, workers int, fn func(i int) error) error {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		next   atomic.Int64
-		failed atomic.Bool
-		wg     sync.WaitGroup
-		mu     sync.Mutex
-	)
-	errIdx := -1
-	var firstErr error
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || failed.Load() {
-					return
-				}
-				if err := fn(i); err != nil {
-					failed.Store(true)
-					mu.Lock()
-					if errIdx < 0 || i < errIdx {
-						errIdx, firstErr = i, err
-					}
-					mu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
 }

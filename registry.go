@@ -2,12 +2,23 @@ package greenenvy
 
 import "greenenvy/internal/registry"
 
-// The experiment catalogue lives in internal/registry so the scenario
-// compiler (internal/scenario) can target it without importing the root
-// package. The root package re-exports the catalogue API: experiments in
+// The experiment catalogue, Options, and the repetition harness live in
+// internal/registry so the scenario compiler (internal/scenario) can target
+// them without importing the root package; the experiments in this package
+// call the harness there directly. The root package re-exports the public
+// catalogue API: experiments in
 // this package keep calling Register with literal metadata (which is what
 // greenvet's registryhygiene analyzer audits), and external callers keep
 // the same surface they had when the registry lived here.
+
+// Options scales the experiment runners. The zero value gives a fast,
+// laptop-friendly configuration; Paper() gives the paper's full parameters.
+// See registry.Options for field documentation.
+type Options = registry.Options
+
+// Paper returns the paper's full experiment parameters: 10 repetitions,
+// full 50 GB transfers. Expect the CCA sweep to take a long while.
+func Paper() Options { return registry.Paper() }
 
 // Result is the uniform product of every registered experiment: the rows
 // the paper reports as aligned text, and a self-contained SVG rendering of

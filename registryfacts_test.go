@@ -20,7 +20,7 @@ import (
 //     must not nest (one being a prefix of the other would let their cache
 //     namespaces interleave);
 //   - exclusivity: a non-empty prefix belongs to exactly one experiment,
-//     except "sweep", which figures 5-8 share by design (four views over
+//     except "sweep/", which figures 5-8 share by design (four views over
 //     one cached sweep dataset), and the "scenario/" namespace, which every
 //     scenario-compiled experiment shares: their cells key under the
 //     canonical spec digest inside it, so distinct specs cannot collide.
@@ -63,7 +63,7 @@ func TestExperimentCacheIDFacts(t *testing.T) {
 		}
 	}
 	for p, ns := range owners {
-		if len(ns) > 1 && p != "sweep" && p != registryhygiene.ScenarioCacheIDPrefix {
+		if len(ns) > 1 && p != "sweep/" && p != registryhygiene.ScenarioCacheIDPrefix {
 			sort.Strings(ns)
 			t.Errorf("cache-id prefix %q is claimed by %v: distinct experiments must not share a cache namespace", p, ns)
 		}

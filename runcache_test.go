@@ -5,14 +5,12 @@ import (
 	"time"
 
 	"greenenvy/internal/cca"
+	"greenenvy/internal/registry"
 )
 
 func TestCacheStoreResolution(t *testing.T) {
-	if (Options{CacheDir: "", NoCache: false}).CacheStore() != nil {
+	if (Options{CacheDir: ""}).CacheStore() != nil {
 		t.Fatal("empty CacheDir opened a store")
-	}
-	if (Options{CacheDir: t.TempDir(), NoCache: true}).CacheStore() != nil {
-		t.Fatal("NoCache did not bypass the store")
 	}
 	dir := t.TempDir()
 	s := Options{CacheDir: dir}.CacheStore()
@@ -53,7 +51,7 @@ func TestPersistentCacheColdWarmPartial(t *testing.T) {
 
 	// digestOpts is Reps 2 / Scale 0.001 / Seed 1 — the configuration the
 	// golden digest pins — so the partial-warm phase can be checked
-	// against fig5GoldenDigest with no extra cold reference run.
+	// against registry.Fig5GoldenDigest with no extra cold reference run.
 	o1 := digestOpts()
 	o1.Reps = 1
 	o1.CacheDir = dir
@@ -103,14 +101,15 @@ func TestPersistentCacheColdWarmPartial(t *testing.T) {
 	if st3.Hits-st2.Hits != cells || st3.Misses-st2.Misses != cells {
 		t.Fatalf("partial run stats %+v (warm %+v), want +%d hits / +%d misses", st3, st2, cells, cells)
 	}
-	if got := sweepDigest(part); got != fig5GoldenDigest {
+	if got := sweepDigest(part); got != registry.Fig5GoldenDigest {
 		t.Fatalf("partially warm digest %s != all-cold golden digest %s:\n"+
-			"mixing cached and fresh repetitions changed the result", got, fig5GoldenDigest)
+			"mixing cached and fresh repetitions changed the result", got, registry.Fig5GoldenDigest)
 	}
 }
 
-// TestNoCacheMatchesCached: NoCache must force recomputation yet produce
-// the identical result — the cache can never change what is computed.
+// TestNoCacheMatchesCached: an empty CacheDir must force recomputation yet
+// produce the identical result — the cache can never change what is
+// computed.
 func TestNoCacheMatchesCached(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the simulator")
@@ -124,14 +123,14 @@ func TestNoCacheMatchesCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	bypass := base
-	bypass.NoCache = true
+	bypass.CacheDir = ""
 	resetSweepCache()
 	fresh, err := RunCCASweep(bypass)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sweepDigest(fresh) != sweepDigest(cached) {
-		t.Fatal("NoCache recomputation differs from cached result")
+		t.Fatal("uncached recomputation differs from cached result")
 	}
 	st := CacheStatsFor(dir)
 	if before := st.Hits + st.Misses; before == 0 {
@@ -140,6 +139,6 @@ func TestNoCacheMatchesCached(t *testing.T) {
 	// The bypass run must not have read the store: hits unchanged since
 	// the cold run (which had none).
 	if st.Hits != 0 {
-		t.Fatalf("NoCache run read %d entries from the store", st.Hits)
+		t.Fatalf("uncached run read %d entries from the store", st.Hits)
 	}
 }

@@ -69,7 +69,7 @@ func TestFig1GoldenPins(t *testing.T) {
 		svg   = "59fba6609de0ef5a3d8cac1cba12a9e14bfd3f3ae6d57ebcd47d6d637334e055"
 	)
 	for _, workers := range []int{1, 4} {
-		res, err := RunFig1(Options{Reps: 2, Scale: 0.001, Seed: 1, Workers: workers, NoCache: true})
+		res, err := RunFig1(Options{Reps: 2, Scale: 0.001, Seed: 1, Workers: workers, CacheDir: ""})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func TestFatTreeIncastGoldenPins(t *testing.T) {
 		{2, "04b38f8ff8c82423d87ac3fb9cc763f65c069d06314c704f494414e3c84736ff", "f8a592292263db11c30258712a030cd1dfb9e3c648b57bb8084009cfb47202f2"},
 	}
 	for _, p := range pins {
-		res, err := RunFatTreeIncast(Options{Reps: 1, Scale: 0.001, Seed: 1, Workers: 2, Shards: p.shards, NoCache: true})
+		res, err := RunFatTreeIncast(Options{Reps: 1, Scale: 0.001, Seed: 1, Workers: 2, Shards: p.shards, CacheDir: ""})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestScenarioUnequalRTTExample(t *testing.T) {
 	if len(c.Topology.AccessDelaysUs) != 2 || c.Topology.AccessDelaysUs[0] == c.Topology.AccessDelaysUs[1] {
 		t.Fatalf("unequal-rtt example lost its heterogeneous delays: %v", c.Topology.AccessDelaysUs)
 	}
-	res := runCompiled(t, spec, Options{Reps: 2, Scale: 0.001, Seed: 1, NoCache: true})
+	res := runCompiled(t, spec, Options{Reps: 2, Scale: 0.001, Seed: 1, CacheDir: ""})
 	if res.Table() == "" {
 		t.Fatal("empty table")
 	}
