@@ -89,7 +89,13 @@ func run(pass *analysis.Pass) (any, error) {
 				return true
 			}
 			callee, ok := info.Uses[id].(*types.Func)
-			if !ok || hot[callee] {
+			if !ok {
+				return true
+			}
+			// A method of a generic type is used through its
+			// instantiation; its declaration belongs to the origin.
+			callee = callee.Origin()
+			if hot[callee] {
 				return true
 			}
 			if _, local := decls[callee]; local {

@@ -15,9 +15,20 @@ type ring struct {
 }
 
 type engine struct {
-	pool   []*event
-	events ring
-	sink   interface{}
+	pool    []*event
+	events  ring
+	sink    interface{}
+	backlog fifo[int64]
+}
+
+// fifo is generic: calls reach its methods through an instantiation, and
+// the analyzer must follow them back to the declaration.
+type fifo[T any] struct {
+	buf []T
+}
+
+func (q *fifo[T]) push(v T) {
+	q.buf = append(q.buf, v) // want `append may grow its backing array`
 }
 
 // step advances the event loop by one event.
@@ -27,6 +38,7 @@ func (e *engine) step(now int64) {
 	ev := e.alloc()
 	ev.at = now
 	e.dispatch(ev)
+	e.backlog.push(now)
 }
 
 // alloc is reachable from step, so it is checked too.

@@ -120,10 +120,11 @@ func (c *codelCtl) doDequeue(now sim.Time, ring *entryRing, qbytes, fbytes *int,
 
 // dequeue runs one full RFC 8289 dequeue: pop, update the drop state, and
 // return the packet to transmit (nil when the ring is empty or every
-// backlogged packet was dropped by the law).
+// backlogged packet was dropped by the law). Dropped packets are freed into
+// pool.
 //
 //greenvet:hotpath
-func (c *codelCtl) dequeue(now sim.Time, ring *entryRing, qbytes, fbytes *int, minBytes int, stats *QueueStats) *Packet {
+func (c *codelCtl) dequeue(now sim.Time, ring *entryRing, qbytes, fbytes *int, minBytes int, stats *QueueStats, pool *PacketPool) *Packet {
 	p, okToDrop := c.doDequeue(now, ring, qbytes, fbytes, minBytes)
 	if p == nil {
 		c.dropping = false
@@ -144,6 +145,7 @@ func (c *codelCtl) dequeue(now sim.Time, ring *entryRing, qbytes, fbytes *int, m
 			}
 			stats.DroppedPackets++
 			stats.DroppedBytes += uint64(p.WireSize)
+			pool.Free(p)
 			c.dropNext = c.controlLaw(c.dropNext)
 			p, okToDrop = c.doDequeue(now, ring, qbytes, fbytes, minBytes)
 			if p == nil {
@@ -176,6 +178,7 @@ func (c *codelCtl) dequeue(now sim.Time, ring *entryRing, qbytes, fbytes *int, m
 		}
 		stats.DroppedPackets++
 		stats.DroppedBytes += uint64(p.WireSize)
+		pool.Free(p)
 		c.dropNext = c.controlLaw(now)
 		// The replacement packet goes out regardless; the control law
 		// schedules the next drop at dropNext.
@@ -214,6 +217,7 @@ type CoDel struct {
 	Interval sim.Duration
 
 	engine  *sim.Engine
+	pool    *PacketPool
 	ring    entryRing
 	bytes   int
 	maxWire int // largest packet seen; the "one MTU" floor for the law
@@ -242,6 +246,10 @@ func NewCoDel(capBytes int, target, interval sim.Duration) *CoDel {
 // BindEngine implements EngineBinder.
 func (q *CoDel) BindEngine(e *sim.Engine) { q.engine = e }
 
+// BindPool implements PoolBinder: the control law's drops are freed into
+// pool.
+func (q *CoDel) BindPool(pool *PacketPool) { q.pool = pool }
+
 // Enqueue implements Queue: admission is plain tail-drop against CapBytes;
 // the control law acts at dequeue time on the recorded arrival stamp.
 //
@@ -268,7 +276,7 @@ func (q *CoDel) Enqueue(p *Packet) bool {
 //
 //greenvet:hotpath
 func (q *CoDel) Dequeue() *Packet {
-	return q.ctl.dequeue(q.engine.Now(), &q.ring, &q.bytes, nil, q.maxWire, &q.stats)
+	return q.ctl.dequeue(q.engine.Now(), &q.ring, &q.bytes, nil, q.maxWire, &q.stats, q.pool)
 }
 
 // Len implements Queue.

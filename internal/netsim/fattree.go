@@ -138,6 +138,10 @@ type FatTree struct {
 	// of every pod.
 	Cores []*Switch
 
+	// Pools are the per-engine packet pools, indexed by shard (a single
+	// entry for a monolithic tree).
+	Pools []*PacketPool
+
 	// hostDown[h] is the edge→host link delivering to host h.
 	hostDown []*Link
 	part     FatTreePartition
@@ -145,7 +149,7 @@ type FatTree struct {
 
 // NewFatTree wires up the topology described by cfg on a single engine.
 func NewFatTree(engine *sim.Engine, cfg FatTreeConfig) *FatTree {
-	return buildFatTree(cfg, fatTreeLayout{engine: engine})
+	return buildFatTree(cfg, newFatTreeLayout(engine, nil, FatTreePartition{}))
 }
 
 // buildFatTree is the shared builder behind NewFatTree and
@@ -178,8 +182,17 @@ func buildFatTree(cfg FatTreeConfig, lay fatTreeLayout) *FatTree {
 		Edges:    make([]*Switch, k*half),
 		Aggs:     make([]*Switch, k*half),
 		Cores:    make([]*Switch, half*half),
+		Pools:    lay.pools,
 		hostDown: make([]*Link, numHosts),
 		part:     lay.part,
+	}
+
+	// Every element is created on its shard's engine and bound to that
+	// engine's pool.
+	newLink := func(eng *sim.Engine, pool *PacketPool, name string, rateBps int64, q Queue, dst Handler) *Link {
+		l := NewLink(eng, name, rateBps, cfg.LinkDelay, q, dst)
+		l.BindPool(pool)
+		return l
 	}
 
 	queueFor := func(port FatTreePort) Queue {
@@ -205,8 +218,9 @@ func buildFatTree(cfg FatTreeConfig, lay fatTreeLayout) *FatTree {
 	// The longest path crosses edge, agg, core, agg, edge: 5 switch hops.
 	// One hop of margin turns a wiring mistake into a prompt diagnostic.
 	const ttl = 6
-	newSwitch := func(eng *sim.Engine, name string) *Switch {
+	newSwitch := func(eng *sim.Engine, pool *PacketPool, name string) *Switch {
 		s := NewSwitch(eng, name, cfg.SwitchDelay)
+		s.BindPool(pool)
 		s.SetTTL(ttl)
 		s.SetECMPSalt(salt())
 		return s
@@ -214,28 +228,29 @@ func buildFatTree(cfg FatTreeConfig, lay fatTreeLayout) *FatTree {
 
 	for p := 0; p < k; p++ {
 		for i := 0; i < half; i++ {
-			ft.Edges[p*half+i] = newSwitch(lay.pod(p), fmt.Sprintf("edge-p%d-e%d", p, i))
-			ft.Aggs[p*half+i] = newSwitch(lay.pod(p), fmt.Sprintf("agg-p%d-a%d", p, i))
+			ft.Edges[p*half+i] = newSwitch(lay.pod(p), lay.podPool(p), fmt.Sprintf("edge-p%d-e%d", p, i))
+			ft.Aggs[p*half+i] = newSwitch(lay.pod(p), lay.podPool(p), fmt.Sprintf("agg-p%d-a%d", p, i))
 		}
 	}
 	for c := range ft.Cores {
-		ft.Cores[c] = newSwitch(lay.core(c), fmt.Sprintf("core-%d", c))
+		ft.Cores[c] = newSwitch(lay.core(c), lay.corePool(c), fmt.Sprintf("core-%d", c))
 	}
 
 	// Hosts and the host↔edge tier (always pod-internal).
 	for h := 0; h < numHosts; h++ {
 		p := h / hostsPerPod
 		e := (h % hostsPerPod) / half
-		eng := lay.pod(p)
+		eng, pool := lay.pod(p), lay.podPool(p)
 		edge := ft.Edges[p*half+e]
 		host := NewHost(NodeID(h), fmt.Sprintf("h%d", h))
+		host.BindPool(pool)
 		ft.Hosts[h] = host
 
 		up := FatTreePort{Tier: TierHostUp, Pod: p, Switch: e, Host: NodeID(h), Port: h % half}
-		host.SetEgress(NewLink(eng, fmt.Sprintf("h%d-up", h), cfg.HostBps, cfg.LinkDelay, queueFor(up), edge))
+		host.SetEgress(newLink(eng, pool, fmt.Sprintf("h%d-up", h), cfg.HostBps, queueFor(up), edge))
 
 		down := FatTreePort{Tier: TierHostDown, Pod: p, Switch: e, Host: NodeID(h), Port: h % half}
-		l := NewLink(eng, fmt.Sprintf("%s->h%d", edge.Name, h), cfg.HostBps, cfg.LinkDelay, queueFor(down), host)
+		l := newLink(eng, pool, fmt.Sprintf("%s->h%d", edge.Name, h), cfg.HostBps, queueFor(down), host)
 		ft.hostDown[h] = l
 		edge.Connect(NodeID(h), l)
 	}
@@ -249,8 +264,8 @@ func buildFatTree(cfg FatTreeConfig, lay fatTreeLayout) *FatTree {
 			ups := make([]Handler, half)
 			for a := 0; a < half; a++ {
 				port := FatTreePort{Tier: TierEdgeUp, Pod: p, Switch: e, Host: -1, Port: a}
-				ups[a] = NewLink(lay.pod(p), fmt.Sprintf("%s->%s", edge.Name, ft.Aggs[p*half+a].Name),
-					cfg.EdgeAggBps, cfg.LinkDelay, queueFor(port), ft.Aggs[p*half+a])
+				ups[a] = newLink(lay.pod(p), lay.podPool(p), fmt.Sprintf("%s->%s", edge.Name, ft.Aggs[p*half+a].Name),
+					cfg.EdgeAggBps, queueFor(port), ft.Aggs[p*half+a])
 			}
 			edge.ConnectRange(0, NodeID(numHosts-1), ups...)
 		}
@@ -264,8 +279,8 @@ func buildFatTree(cfg FatTreeConfig, lay fatTreeLayout) *FatTree {
 			for e := 0; e < half; e++ {
 				lo := NodeID(p*hostsPerPod + e*half)
 				port := FatTreePort{Tier: TierAggDown, Pod: p, Switch: a, Host: -1, Port: e}
-				down := NewLink(lay.pod(p), fmt.Sprintf("%s->%s", agg.Name, ft.Edges[p*half+e].Name),
-					cfg.EdgeAggBps, cfg.LinkDelay, queueFor(port), ft.Edges[p*half+e])
+				down := newLink(lay.pod(p), lay.podPool(p), fmt.Sprintf("%s->%s", agg.Name, ft.Edges[p*half+e].Name),
+					cfg.EdgeAggBps, queueFor(port), ft.Edges[p*half+e])
 				agg.ConnectRange(lo, lo+NodeID(half-1), down)
 			}
 			ups := make([]Handler, half)
@@ -273,8 +288,8 @@ func buildFatTree(cfg FatTreeConfig, lay fatTreeLayout) *FatTree {
 				c := a*half + j
 				core := ft.Cores[c]
 				port := FatTreePort{Tier: TierAggUp, Pod: p, Switch: a, Host: -1, Port: j}
-				up := NewLink(lay.pod(p), fmt.Sprintf("%s->%s", agg.Name, core.Name),
-					cfg.AggCoreBps, cfg.LinkDelay, queueFor(port), core)
+				up := newLink(lay.pod(p), lay.podPool(p), fmt.Sprintf("%s->%s", agg.Name, core.Name),
+					cfg.AggCoreBps, queueFor(port), core)
 				lay.bindPodToCore(up, p, c, core)
 				ups[j] = up
 			}
@@ -289,8 +304,8 @@ func buildFatTree(cfg FatTreeConfig, lay fatTreeLayout) *FatTree {
 		for p := 0; p < k; p++ {
 			agg := ft.Aggs[p*half+a]
 			port := FatTreePort{Tier: TierCoreDown, Pod: p, Switch: c, Host: -1, Port: p}
-			down := NewLink(lay.core(c), fmt.Sprintf("%s->%s", core.Name, agg.Name),
-				cfg.AggCoreBps, cfg.LinkDelay, queueFor(port), agg)
+			down := newLink(lay.core(c), lay.corePool(c), fmt.Sprintf("%s->%s", core.Name, agg.Name),
+				cfg.AggCoreBps, queueFor(port), agg)
 			lay.bindCoreToPod(down, c, p, agg)
 			core.ConnectRange(NodeID(p*hostsPerPod), NodeID((p+1)*hostsPerPod-1), down)
 		}

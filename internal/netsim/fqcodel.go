@@ -33,6 +33,7 @@ type FQCoDel struct {
 	Interval sim.Duration
 
 	engine   *sim.Engine
+	pool     *PacketPool
 	flows    map[FlowID]*fqFlow
 	newFlows []*fqFlow
 	oldFlows []*fqFlow
@@ -77,6 +78,10 @@ func NewFQCoDel(capBytes, quantum int, target, interval sim.Duration) *FQCoDel {
 
 // BindEngine implements EngineBinder.
 func (q *FQCoDel) BindEngine(e *sim.Engine) { q.engine = e }
+
+// BindPool implements PoolBinder: the per-flow control laws' drops are
+// freed into pool.
+func (q *FQCoDel) BindPool(pool *PacketPool) { q.pool = pool }
 
 // Enqueue implements Queue.
 //
@@ -148,7 +153,7 @@ func (q *FQCoDel) Dequeue() *Packet {
 			continue
 		}
 		before := f.ring.Len()
-		p := f.ctl.dequeue(now, &f.ring, &q.bytes, &f.bytes, q.maxWire, &q.stats)
+		p := f.ctl.dequeue(now, &f.ring, &q.bytes, &f.bytes, q.maxWire, &q.stats, q.pool)
 		q.npkts -= before - f.ring.Len()
 		if p == nil {
 			// The flow's queue drained (possibly via CoDel drops). An

@@ -20,9 +20,11 @@ type Link struct {
 	Delay sim.Duration
 
 	engine *sim.Engine
-	queue  Queue
-	dst    Handler
-	busy   bool
+	// pool receives packets the queue refuses (see PoolBinder).
+	pool  *PacketPool
+	queue Queue
+	dst   Handler
+	busy  bool
 	// txPkt is the packet currently being serialized; txDone is the
 	// standing serialization-completion timer (rearmed per packet, never
 	// reallocated).
@@ -35,7 +37,8 @@ type Link struct {
 	// remote, when set, replaces wire: the far end lives on another
 	// partition's engine and the propagation delay is spent crossing the
 	// conduit (it doubles as the partition's lookahead guarantee). The
-	// packet is handed off wholly; this side never touches it again.
+	// packet is handed off wholly, ownership included; this side never
+	// touches it again.
 	remote *sim.Conduit[*Packet]
 
 	// TxPackets and TxBytes count packets/bytes that completed
@@ -84,6 +87,16 @@ func (l *Link) SetRemote(c *sim.Conduit[*Packet]) {
 	l.remote = c
 }
 
+// BindPool implements PoolBinder: pool receives the packets this link's
+// queue refuses, and the queue itself is bound when it drops packets on
+// its own.
+func (l *Link) BindPool(pool *PacketPool) {
+	l.pool = pool
+	if b, ok := l.queue.(PoolBinder); ok {
+		b.BindPool(pool)
+	}
+}
+
 // Queue exposes the link's queue discipline (for weight configuration and
 // stats inspection).
 func (l *Link) Queue() Queue { return l.queue }
@@ -101,8 +114,10 @@ func (l *Link) SerializationTime(size int) sim.Duration {
 //
 //greenvet:hotpath
 func (l *Link) HandlePacket(p *Packet) {
+	p.mustLive("Link.HandlePacket")
 	if !l.queue.Enqueue(p) {
-		return // dropped; queue stats already updated
+		l.pool.Free(p) // dropped; queue stats already updated
+		return
 	}
 	if !l.busy {
 		l.transmitNext()
@@ -142,6 +157,7 @@ func (l *Link) onTxDone() {
 		})
 	}
 	if l.remote != nil {
+		l.pool.handOff()
 		l.remote.Send(l.engine.Now()+l.Delay, p)
 	} else {
 		l.wire.Schedule(p, l.engine.Now()+l.Delay)

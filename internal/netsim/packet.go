@@ -81,11 +81,17 @@ type Packet struct {
 
 	Flags Flags
 
-	// SACK carries up to four selective-acknowledgment blocks on ACKs.
-	SACK []SACKBlock
+	// SACK holds an ACK's selective-acknowledgment blocks inline; the
+	// first NSACK entries are valid (SACKBlocks returns them). Inline
+	// storage keeps a pooled ACK free of a second allocation.
+	SACK  [MaxSACKBlocks]SACKBlock
+	NSACK int
 
 	// INT carries per-hop telemetry (data packets accumulate it when
-	// FlagINT is set; receivers echo it back on ACKs).
+	// FlagINT is set; receivers echo it back on ACKs). Freeing a packet
+	// drops the slice rather than truncating it: the receiver hands a data
+	// packet's INT to the next ACK, and the sender's CCA may keep reading
+	// it after that ACK is freed.
 	INT []INTHop
 
 	// SentAt is stamped by the sending transport when the packet enters
@@ -108,6 +114,39 @@ type Packet struct {
 
 	// hops counts forwarding steps as a routing-loop guard.
 	hops int
+	// freed marks a packet its final consumer has released (see
+	// PacketPool.Free); handlers refuse freed packets.
+	freed bool
+}
+
+// MaxSACKBlocks is the SACK option's capacity: four blocks, as in TCP
+// without timestamps.
+const MaxSACKBlocks = 4
+
+// SACKBlocks returns the packet's valid SACK blocks, a view into its inline
+// storage that is only good while the packet is owned.
+func (p *Packet) SACKBlocks() []SACKBlock { return p.SACK[:p.NSACK] }
+
+// AddSACK appends one SACK block; adding more than MaxSACKBlocks panics.
+func (p *Packet) AddSACK(b SACKBlock) {
+	p.SACK[p.NSACK] = b
+	p.NSACK++
+}
+
+// mustLive is the use-after-free guard every packet handler runs on entry:
+// a freed packet reaching a handler means some component re-sent a packet
+// it no longer owned, which would otherwise corrupt a recycled packet's
+// next life silently.
+func (p *Packet) mustLive(where string) {
+	if p.freed {
+		useAfterFree(where, p)
+	}
+}
+
+// useAfterFree is mustLive's cold path, kept out of line so the guard
+// itself inlines.
+func useAfterFree(where string, p *Packet) {
+	panic(fmt.Sprintf("netsim: %s received a freed packet (%v): use after free", where, p))
 }
 
 // SACKBlock is a half-open byte range [Start, End) acknowledged out of

@@ -37,10 +37,25 @@ func (p FatTreePartition) CoreShard(c int) int { return c % p.K }
 
 // fatTreeLayout tells buildFatTree where each element lives: on the one
 // monolithic engine, or spread over a shard group per FatTreePartition.
+// Either way every engine gets its own packet pool.
 type fatTreeLayout struct {
 	engine *sim.Engine     // monolithic build
 	group  *sim.ShardGroup // sharded build
 	part   FatTreePartition
+	pools  []*PacketPool // indexed by shard; one entry when monolithic
+}
+
+// newFatTreeLayout builds the layout and its per-engine pools.
+func newFatTreeLayout(engine *sim.Engine, group *sim.ShardGroup, part FatTreePartition) fatTreeLayout {
+	n := 1
+	if group != nil {
+		n = group.Shards()
+	}
+	pools := make([]*PacketPool, n)
+	for i := range pools {
+		pools[i] = NewPacketPool()
+	}
+	return fatTreeLayout{engine: engine, group: group, part: part, pools: pools}
 }
 
 // pod returns the engine hosting pod p's switches, hosts and links.
@@ -57,6 +72,22 @@ func (l fatTreeLayout) core(c int) *sim.Engine {
 		return l.engine
 	}
 	return l.group.Engine(l.part.CoreShard(c))
+}
+
+// podPool returns the packet pool of pod p's engine.
+func (l fatTreeLayout) podPool(p int) *PacketPool {
+	if l.group == nil {
+		return l.pools[0]
+	}
+	return l.pools[l.part.PodShard(p)]
+}
+
+// corePool returns the packet pool of core switch c's engine.
+func (l fatTreeLayout) corePool(c int) *PacketPool {
+	if l.group == nil {
+		return l.pools[0]
+	}
+	return l.pools[l.part.CoreShard(c)]
 }
 
 // bindPodToCore diverts an agg(p)→core(c) uplink through a conduit when
@@ -78,15 +109,20 @@ func (l fatTreeLayout) bindCoreToPod(lnk *Link, c, p int, dst Handler) {
 
 // bindAcross is the partition cut: when a link's endpoints land on
 // different shards, its propagation stage is diverted through a conduit
-// whose lookahead is exactly the link delay. Same-shard links keep the
-// direct wire.
+// whose lookahead is exactly the link delay, and the destination shard's
+// pool adopts each packet as it arrives. Same-shard links keep the direct
+// wire.
 //
 //greenvet:shardboundary
 func (l fatTreeLayout) bindAcross(lnk *Link, srcShard, dstShard int, dst Handler) {
 	if srcShard == dstShard {
 		return
 	}
-	lnk.SetRemote(sim.NewConduit(l.group, srcShard, dstShard, lnk.Delay, dst.HandlePacket))
+	pool := l.pools[dstShard]
+	lnk.SetRemote(sim.NewConduit(l.group, srcShard, dstShard, lnk.Delay, func(p *Packet) {
+		pool.adopt()
+		dst.HandlePacket(p)
+	}))
 }
 
 // NewFatTreeSharded wires the same topology as NewFatTree across group's
@@ -104,7 +140,7 @@ func NewFatTreeSharded(group *sim.ShardGroup, cfg FatTreeConfig) *FatTree {
 	if cfg.LinkDelay <= 0 {
 		panic("netsim: sharded fat-tree needs a positive link delay for lookahead")
 	}
-	return buildFatTree(cfg, fatTreeLayout{group: group, part: part})
+	return buildFatTree(cfg, newFatTreeLayout(nil, group, part))
 }
 
 // ShardOfHost returns the shard owning host h (its pod), or 0 for a

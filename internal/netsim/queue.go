@@ -6,7 +6,10 @@ package netsim
 // marking (ECN), and service order (FIFO / weighted fair / priority).
 type Queue interface {
 	// Enqueue offers a packet. It returns false if the packet was
-	// dropped; the caller must not retain dropped packets.
+	// dropped; the caller still owns a dropped packet and frees it
+	// (Link does). A discipline that drops packets after admitting
+	// them (inside Dequeue) frees them itself into the pool bound via
+	// PoolBinder.
 	Enqueue(p *Packet) bool
 	// Dequeue removes and returns the next packet to transmit, or nil if
 	// the queue is empty.

@@ -21,6 +21,8 @@ type Switch struct {
 	PipelineDelay sim.Duration
 
 	engine *sim.Engine
+	// pool receives packets dropped for lack of a route.
+	pool *PacketPool
 	// exact maps a destination node to its output port; it wins over any
 	// range route (a /32 in longest-prefix terms).
 	exact map[NodeID]Handler
@@ -110,6 +112,9 @@ func (s *Switch) ConnectRange(lo, hi NodeID, ports ...Handler) {
 	})
 }
 
+// BindPool implements PoolBinder: pool receives no-route drops.
+func (s *Switch) BindPool(pool *PacketPool) { s.pool = pool }
+
 // SetTTL sets the maximum forwarding hop count. Topology builders call it
 // with the network diameter plus a safety margin so a real forwarding loop
 // is detected within one or two circuits instead of after 32 silent hops.
@@ -170,15 +175,18 @@ func ecmpIndex(salt uint64, flow FlowID, src, dst NodeID, n int) int {
 }
 
 // HandlePacket implements Handler by forwarding to the route for p.Dst.
-// Packets with no matching route are counted and dropped; packets exceeding
-// the TTL indicate a forwarding loop and panic with full flow context.
+// Packets with no matching route are counted, dropped and freed; packets
+// exceeding the TTL indicate a forwarding loop and panic with full flow
+// context.
 //
 //greenvet:hotpath
 func (s *Switch) HandlePacket(p *Packet) {
+	p.mustLive("Switch.HandlePacket")
 	out := s.RouteFor(p.Flow, p.Src, p.Dst)
 	if out == nil {
 		s.DroppedNoRoute++
 		s.LastNoRoute = NoRouteInfo{Flow: p.Flow, Src: p.Src, Dst: p.Dst}
+		s.pool.Free(p)
 		return
 	}
 	p.hops++
@@ -204,6 +212,9 @@ type Host struct {
 
 	egress Handler
 	flows  map[FlowID]Handler
+	// pool supplies the packets the host's transports send and takes back
+	// the ones they (or the host) consume.
+	pool *PacketPool
 
 	// OnSend and OnReceive, when non-nil, observe every packet leaving or
 	// entering the host. The energy model attaches here.
@@ -232,10 +243,28 @@ func (h *Host) Attach(id FlowID, fh Handler) { h.flows[id] = fh }
 // Detach removes a flow handler.
 func (h *Host) Detach(id FlowID) { delete(h.flows, id) }
 
-// Send transmits a packet from this host into the network.
+// BindPool implements PoolBinder: transports on this host draw packets
+// from pool and free consumed ones into it.
+func (h *Host) BindPool(pool *PacketPool) { h.pool = pool }
+
+// NewPacket returns a zeroed packet from the host's pool; the caller owns
+// it until it hands it to Send.
+//
+//greenvet:hotpath
+func (h *Host) NewPacket() *Packet { return h.pool.Get() }
+
+// FreePacket releases a packet the caller has finished consuming back to
+// the host's pool.
+//
+//greenvet:hotpath
+func (h *Host) FreePacket(p *Packet) { h.pool.Free(p) }
+
+// Send transmits a packet from this host into the network, handing over
+// ownership.
 //
 //greenvet:hotpath
 func (h *Host) Send(p *Packet) {
+	p.mustLive("Host.Send")
 	if h.egress == nil {
 		panic(fmt.Sprintf("netsim: host %q has no egress", h.Name))
 	}
@@ -248,12 +277,13 @@ func (h *Host) Send(p *Packet) {
 	h.egress.HandlePacket(p)
 }
 
-// HandlePacket implements Handler: deliver to the flow's transport handler.
-// Packets for unknown flows are counted and dropped (the flow may already
-// have closed).
+// HandlePacket implements Handler: deliver to the flow's transport handler,
+// which becomes the packet's owner. Packets for unknown flows are counted,
+// dropped and freed (the flow may already have closed).
 //
 //greenvet:hotpath
 func (h *Host) HandlePacket(p *Packet) {
+	p.mustLive("Host.HandlePacket")
 	h.RxPackets++
 	h.RxBytes += uint64(p.WireSize)
 	if h.OnReceive != nil {
@@ -261,5 +291,7 @@ func (h *Host) HandlePacket(p *Packet) {
 	}
 	if fh, ok := h.flows[p.Flow]; ok {
 		fh.HandlePacket(p)
+		return
 	}
+	h.pool.Free(p)
 }

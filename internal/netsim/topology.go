@@ -76,6 +76,9 @@ type Dumbbell struct {
 	// Bottleneck is the switch-to-receiver link whose queue is the shared
 	// contention point.
 	Bottleneck *Link
+	// Pool is the engine's packet pool, bound to every host, link, switch
+	// and queue of the topology.
+	Pool *PacketPool
 }
 
 // NewDumbbell wires up the topology described by cfg.
@@ -97,10 +100,18 @@ func NewDumbbell(engine *sim.Engine, cfg DumbbellConfig) *Dumbbell {
 		bufBytes = 1 << 20
 	}
 
-	d := &Dumbbell{Engine: engine}
+	pool := NewPacketPool()
+	d := &Dumbbell{Engine: engine, Pool: pool}
+	newLink := func(name string, rateBps int64, delay sim.Duration, q Queue, dst Handler) *Link {
+		l := NewLink(engine, name, rateBps, delay, q, dst)
+		l.BindPool(pool)
+		return l
+	}
 	recvID := NodeID(cfg.Senders)
 	d.Receiver = NewHost(recvID, "receiver")
+	d.Receiver.BindPool(pool)
 	d.Switch = NewSwitch(engine, "tofino", cfg.SwitchDelay)
+	d.Switch.BindPool(pool)
 	// Every path crosses the single switch exactly once; TTL 2 (diameter
 	// plus one hop of margin) catches a reflected packet immediately.
 	d.Switch.SetTTL(2)
@@ -110,28 +121,29 @@ func NewDumbbell(engine *sim.Engine, cfg DumbbellConfig) *Dumbbell {
 	if bq == nil {
 		bq = NewDropTail(bufBytes, cfg.MarkBytes)
 	}
-	d.Bottleneck = NewLink(engine, "bottleneck", cfg.BottleneckBps, cfg.LinkDelay, bq, d.Receiver)
+	d.Bottleneck = newLink("bottleneck", cfg.BottleneckBps, cfg.LinkDelay, bq, d.Receiver)
 	d.Switch.Connect(recvID, d.Bottleneck)
 
 	// Receiver's egress goes back through the switch (for ACKs).
-	revAccess := NewLink(engine, "receiver-uplink", cfg.AccessBps, cfg.LinkDelay, NewDropTail(0, 0), d.Switch)
+	revAccess := newLink("receiver-uplink", cfg.AccessBps, cfg.LinkDelay, NewDropTail(0, 0), d.Switch)
 	d.Receiver.SetEgress(revAccess)
 
 	for i := 0; i < cfg.Senders; i++ {
 		h := NewHost(NodeID(i), fmt.Sprintf("sender%d", i))
+		h.BindPool(pool)
 		delay := cfg.accessDelay(i)
 		// Uplink(s): host -> switch, optionally bonded.
 		if cfg.BondedSenderLinks > 1 {
 			links := make([]*Link, cfg.BondedSenderLinks)
 			for j := range links {
-				links[j] = NewLink(engine, fmt.Sprintf("%s-uplink%d", h.Name, j), cfg.AccessBps, delay, NewDropTail(0, 0), d.Switch)
+				links[j] = newLink(fmt.Sprintf("%s-uplink%d", h.Name, j), cfg.AccessBps, delay, NewDropTail(0, 0), d.Switch)
 			}
 			h.SetEgress(NewBond(links...))
 		} else {
-			h.SetEgress(NewLink(engine, h.Name+"-uplink", cfg.AccessBps, delay, NewDropTail(0, 0), d.Switch))
+			h.SetEgress(newLink(h.Name+"-uplink", cfg.AccessBps, delay, NewDropTail(0, 0), d.Switch))
 		}
 		// Downlink: switch -> host (carries ACKs; never congested).
-		down := NewLink(engine, h.Name+"-downlink", cfg.AccessBps, delay, NewDropTail(0, 0), h)
+		down := newLink(h.Name+"-downlink", cfg.AccessBps, delay, NewDropTail(0, 0), h)
 		d.Switch.Connect(h.ID, down)
 		d.Senders = append(d.Senders, h)
 	}

@@ -404,27 +404,38 @@ func BenchWorkloadScaleStreaming(b *testing.B) {
 	b.ReportMetric(float64(done)/float64(b.N), "flows/run")
 }
 
-// BenchDumbbellTransfer runs a complete 25 MB cubic transfer across the
-// paper's dumbbell testbed — TCP sender and receiver, bonded uplinks,
-// switch, bottleneck queue, energy metering — and reports end-to-end
-// simulated packets/sec (every packet the switch forwarded, data and ACKs).
+// DumbbellTransfer runs one complete cubic transfer of the given size
+// across the paper's dumbbell testbed — TCP sender and receiver, bonded
+// uplinks, switch, bottleneck queue, energy metering — and returns the
+// number of packets the switch forwarded, data and ACKs.
+func DumbbellTransfer(bytes uint64) (uint64, error) {
+	tb := testbed.New(testbed.Options{Seed: 1})
+	if _, err := tb.AddFlow(0, iperf.Spec{
+		Bytes:  bytes,
+		CCA:    "cubic",
+		Config: tcp.Config{MTU: 1500},
+	}); err != nil {
+		return 0, err
+	}
+	if _, err := tb.Run(10 * sim.Second); err != nil {
+		return 0, err
+	}
+	return tb.Net.Switch.RxPackets, nil
+}
+
+// BenchDumbbellTransfer runs a complete 25 MB DumbbellTransfer per
+// iteration and reports end-to-end simulated packets/sec. Its allocations
+// per run are O(flows), not O(packets): see TestDumbbellTransferAllocsFlat.
 func BenchDumbbellTransfer(b *testing.B) {
 	const bytes = 25_000_000
 	b.ReportAllocs()
 	var pkts uint64
 	for i := 0; i < b.N; i++ {
-		tb := testbed.New(testbed.Options{Seed: 1})
-		if _, err := tb.AddFlow(0, iperf.Spec{
-			Bytes:  bytes,
-			CCA:    "cubic",
-			Config: tcp.Config{MTU: 1500},
-		}); err != nil {
+		n, err := DumbbellTransfer(bytes)
+		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := tb.Run(10 * sim.Second); err != nil {
-			b.Fatal(err)
-		}
-		pkts += tb.Net.Switch.RxPackets
+		pkts += n
 	}
 	b.ReportMetric(float64(pkts)/b.Elapsed().Seconds(), "pkts/s")
 	b.ReportMetric(float64(pkts)/float64(b.N), "pkts/run")

@@ -61,7 +61,7 @@ func FuzzSenderAckStream(f *testing.F) {
 			sackStart := uint64(raw[i+1]) % 120 * 1000
 			pkt := ackPacket(cum)
 			if sackStart > cum {
-				pkt.SACK = append(pkt.SACK, sackBlock(sackStart, sackStart+3000))
+				pkt.AddSACK(sackBlock(sackStart, sackStart+3000))
 			}
 			prevUna := h.snd.sndUna
 			h.host.HandlePacket(pkt)

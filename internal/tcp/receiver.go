@@ -36,6 +36,8 @@ type Receiver struct {
 	// received segment must come first, so the sender's scoreboard
 	// converges even when there are more holes than SACK option space).
 	recent []uint64
+	// sackBuf is sackBlocks' output storage, reused for every ACK.
+	sackBuf [netsim.MaxSACKBlocks]byteRange
 
 	// OnData observes in-order payload delivery (newly contiguous bytes);
 	// throughput monitors attach here.
@@ -147,7 +149,8 @@ func (r *Receiver) RcvNxt() uint64 { return r.rcvNxt }
 //greenvet:hotpath
 func (r *Receiver) handleData(p *netsim.Packet) {
 	if p.DataLen == 0 {
-		return // stray ACK or control packet
+		r.host.FreePacket(p) // stray ACK or control packet
+		return
 	}
 	// Serialized receive-path model: ring admission, then processing
 	// after the backlog drains.
@@ -162,6 +165,7 @@ func (r *Receiver) handleData(p *netsim.Packet) {
 		}
 		if int((r.rxFreeAt-now)/r.cfg.RxPathCost) >= ring {
 			r.RxDropped++
+			r.host.FreePacket(p)
 			return
 		}
 		r.rxFreeAt += r.cfg.RxPathCost
@@ -173,8 +177,18 @@ func (r *Receiver) handleData(p *netsim.Packet) {
 	r.process(p)
 }
 
+// process consumes one data segment and frees it: the receiver is every
+// data packet's final owner.
+//
 //greenvet:hotpath
 func (r *Receiver) process(p *netsim.Packet) {
+	r.consume(p)
+	r.host.FreePacket(p)
+}
+
+// consume applies one data segment to the receive state. It must not keep
+// p; only p.INT outlives it, handed on to the next ACK.
+func (r *Receiver) consume(p *netsim.Packet) {
 	if p.Flow != r.flow {
 		// A straggler from a flow this pooled receiver previously served
 		// (e.g. a spurious retransmission still in the fabric when the
@@ -277,50 +291,47 @@ func (r *Receiver) noteRecent(seq uint64) {
 	r.recent = out
 }
 
-// sackBlocks assembles up to max SACK blocks, most recently updated range
-// first (RFC 2018 §4).
-func (r *Receiver) sackBlocks(max int) []byteRange {
-	var out []byteRange
+// sackBlocks assembles up to MaxSACKBlocks SACK blocks, most recently
+// updated range first (RFC 2018 §4), into the receiver's reusable buffer.
+// The result is valid until the next call.
+func (r *Receiver) sackBlocks() []byteRange {
+	n := 0
 	for _, k := range r.recent {
 		if k < r.rcvNxt {
 			continue
 		}
 		rg, ok := r.ooo.find(k)
-		if !ok {
+		if !ok || r.haveSACK(n, rg) {
 			continue
 		}
-		dup := false
-		for _, have := range out {
-			if have == rg {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		out = append(out, rg) //greenvet:allow hotpathalloc SACK blocks exist only during loss episodes, never in steady state
-		if len(out) == max {
-			return out
+		r.sackBuf[n] = rg
+		n++
+		if n == len(r.sackBuf) {
+			return r.sackBuf[:n]
 		}
 	}
 	// Fill remaining slots with the lowest-first ranges.
-	for _, rg := range r.ooo.blocks(max) {
-		dup := false
-		for _, have := range out {
-			if have == rg {
-				dup = true
-				break
-			}
+	for _, rg := range r.ooo.blocks(len(r.sackBuf)) {
+		if r.haveSACK(n, rg) {
+			continue
 		}
-		if !dup {
-			out = append(out, rg) //greenvet:allow hotpathalloc SACK blocks exist only during loss episodes, never in steady state
-			if len(out) == max {
-				break
-			}
+		r.sackBuf[n] = rg
+		n++
+		if n == len(r.sackBuf) {
+			break
 		}
 	}
-	return out
+	return r.sackBuf[:n]
+}
+
+// haveSACK reports whether rg is among the first n assembled blocks.
+func (r *Receiver) haveSACK(n int, rg byteRange) bool {
+	for _, have := range r.sackBuf[:n] {
+		if have == rg {
+			return true
+		}
+	}
+	return false
 }
 
 func (r *Receiver) armDelAck(echo sim.Time) {
@@ -341,8 +352,8 @@ func (r *Receiver) onDelAck() {
 func (r *Receiver) sendAck(echo sim.Time) {
 	r.delack.Stop()
 	r.unacked = 0
-	//greenvet:allow hotpathalloc one Packet per ACK by design: its lifetime spans links and queues, so pooling belongs to a dedicated packet-pool change
-	ack := &netsim.Packet{
+	ack := r.host.NewPacket()
+	*ack = netsim.Packet{
 		Flow:     r.flow,
 		Dst:      r.src,
 		Seq:      0,
@@ -352,8 +363,8 @@ func (r *Receiver) sendAck(echo sim.Time) {
 		SentAt:   r.engine.Now(),
 		EchoTS:   echo,
 	}
-	for _, b := range r.sackBlocks(4) {
-		ack.SACK = append(ack.SACK, netsim.SACKBlock{Start: b.Start, End: b.End}) //greenvet:allow hotpathalloc SACK blocks exist only during loss episodes, never in steady state
+	for _, b := range r.sackBlocks() {
+		ack.AddSACK(netsim.SACKBlock{Start: b.Start, End: b.End})
 	}
 	if len(r.lastINT) > 0 {
 		ack.INT = r.lastINT

@@ -101,8 +101,8 @@ func TestReceiverImmediateDupAckOnGap(t *testing.T) {
 	if ack.Ack != 1000 {
 		t.Fatalf("dupack cum = %d, want 1000", ack.Ack)
 	}
-	if len(ack.SACK) != 1 || ack.SACK[0].Start != 2000 || ack.SACK[0].End != 3000 {
-		t.Fatalf("SACK = %v", ack.SACK)
+	if sack := ack.SACKBlocks(); len(sack) != 1 || sack[0].Start != 2000 || sack[0].End != 3000 {
+		t.Fatalf("SACK = %v", sack)
 	}
 }
 
@@ -142,11 +142,12 @@ func TestReceiverSACKRecencyFirst(t *testing.T) {
 		h.recv.handleData(h.data(seq, 1000, 0))
 	}
 	last := h.acks[len(h.acks)-1]
-	if len(last.SACK) != 4 {
-		t.Fatalf("SACK blocks = %d, want 4", len(last.SACK))
+	sack := last.SACKBlocks()
+	if len(sack) != 4 {
+		t.Fatalf("SACK blocks = %d, want 4", len(sack))
 	}
-	if last.SACK[0].Start != 16000 {
-		t.Fatalf("first block = %+v, want the newest range (16000)", last.SACK[0])
+	if sack[0].Start != 16000 {
+		t.Fatalf("first block = %+v, want the newest range (16000)", sack[0])
 	}
 }
 
@@ -158,13 +159,14 @@ func TestReceiverSACKBlocksDisjoint(t *testing.T) {
 		h.recv.handleData(h.data(seq, 1000, 0))
 	}
 	for _, ack := range h.acks {
-		for i, b := range ack.SACK {
+		sack := ack.SACKBlocks()
+		for i, b := range sack {
 			if b.Start >= b.End {
 				t.Fatalf("degenerate block %+v", b)
 			}
-			for j, c := range ack.SACK {
+			for j, c := range sack {
 				if i != j && b == c {
-					t.Fatalf("duplicate blocks in one ACK: %v", ack.SACK)
+					t.Fatalf("duplicate blocks in one ACK: %v", sack)
 				}
 			}
 		}

@@ -67,11 +67,11 @@ type Sender struct {
 
 	// retxQueue holds sequence numbers of lost segments to retransmit,
 	// in order.
-	retxQueue []uint64
+	retxQueue fifo[uint64]
 	// retxWatch tracks outstanding retransmissions so that a lost
 	// retransmission is itself re-detected (RACK-style time threshold)
 	// instead of stalling until the RTO.
-	retxWatch []retxWatchEntry
+	retxWatch fifo[retxWatchEntry]
 	// lossScan is the index below which loss inference has already run.
 	lossScan int
 	// highSacked is the highest sequence selectively acknowledged.
@@ -170,8 +170,8 @@ func (s *Sender) Reset(host *netsim.Host, flow netsim.FlowID, dst netsim.NodeID,
 	s.segs = s.segStore[:0]
 	s.segBase = 0
 	s.pipe = 0
-	s.retxQueue = s.retxQueue[:0]
-	s.retxWatch = s.retxWatch[:0]
+	s.retxQueue.reset()
+	s.retxWatch.reset()
 	s.lossScan = 0
 	s.highSacked = 0
 	s.rtt = rttEstimator{}
@@ -272,8 +272,19 @@ func (s *Sender) seg(seq uint64) *segment {
 
 // --- receive path ---
 
+// handleAck consumes one ACK and frees it: the sender is every ACK's final
+// owner. The host is captured first because completing the transfer may
+// rebind a pooled sender to another host.
+//
 //greenvet:hotpath
 func (s *Sender) handleAck(p *netsim.Packet) {
+	host := s.host
+	s.consumeAck(p)
+	host.FreePacket(p)
+}
+
+// consumeAck applies one ACK to the sender state. It must not keep p.
+func (s *Sender) consumeAck(p *netsim.Packet) {
 	if s.done || !p.Flags.Has(netsim.FlagACK) {
 		return
 	}
@@ -282,7 +293,10 @@ func (s *Sender) handleAck(p *netsim.Packet) {
 	now := s.engine.Now()
 
 	prevDelivered := s.delivered
-	var newestAcked *segment
+	// newest is a copy of the most recently acknowledged segment (the
+	// window slot itself may be popped), valid when haveNewest is set.
+	var newest segment
+	haveNewest := false
 
 	// Cumulative acknowledgment.
 	if p.Ack > s.sndUna {
@@ -303,7 +317,7 @@ func (s *Sender) handleAck(p *netsim.Packet) {
 					s.rtt.sample(now - sg.sentAt)
 				}
 			}
-			newestAcked = s.snapshotOf(sg)
+			newest, haveNewest = *sg, true
 			s.segBase = end
 			s.segs = s.segs[1:]
 			if s.lossScan > 0 {
@@ -321,8 +335,8 @@ func (s *Sender) handleAck(p *netsim.Packet) {
 	}
 
 	// Selective acknowledgments.
-	for _, blk := range p.SACK {
-		s.markSacked(blk.Start, blk.End, now, &newestAcked)
+	for _, blk := range p.SACKBlocks() {
+		s.markSacked(blk.Start, blk.End, now, &newest, &haveNewest)
 	}
 
 	// Loss inference: data SACKed ReorderSegs segments above an unsacked
@@ -338,14 +352,14 @@ func (s *Sender) handleAck(p *netsim.Packet) {
 		InRecovery: s.recovery,
 		INT:        p.INT,
 	}
-	if newestAcked != nil {
-		interval := now - newestAcked.deliveredTimeAtSend
+	if haveNewest {
+		interval := now - newest.deliveredTimeAtSend
 		if interval > 0 {
-			info.DeliveryRate = float64(s.delivered-newestAcked.deliveredAtSend) / interval.Seconds()
+			info.DeliveryRate = float64(s.delivered-newest.deliveredAtSend) / interval.Seconds()
 		}
-		info.AppLimited = newestAcked.appLimited
-		if newestAcked.retx == 0 {
-			info.RTT = now - newestAcked.sentAt
+		info.AppLimited = newest.appLimited
+		if newest.retx == 0 {
+			info.RTT = now - newest.sentAt
 		}
 	}
 	if info.RTT == 0 {
@@ -371,14 +385,9 @@ func (s *Sender) handleAck(p *netsim.Packet) {
 	s.armTLP()
 }
 
-// snapshotOf returns a stable copy of a segment for rate sampling (the
-// underlying slice entry may be popped).
-func (s *Sender) snapshotOf(sg *segment) *segment {
-	cp := *sg
-	return &cp
-}
-
-func (s *Sender) markSacked(start, end uint64, now sim.Time, newest **segment) {
+// markSacked applies one SACK block, copying the last newly sacked segment
+// into *newest for rate sampling.
+func (s *Sender) markSacked(start, end uint64, now sim.Time, newest *segment, haveNewest *bool) {
 	if start < s.segBase {
 		start = s.segBase
 	}
@@ -415,7 +424,7 @@ func (s *Sender) markSacked(start, end uint64, now sim.Time, newest **segment) {
 		if sg.seq+uint64(sg.length) > s.highSacked {
 			s.highSacked = sg.seq + uint64(sg.length)
 		}
-		*newest = s.snapshotOf(sg)
+		*newest, *haveNewest = *sg, true
 		seq = sg.jumpSeq
 	}
 	// Path-compress: the block's first segment points at the furthest
@@ -455,7 +464,7 @@ func (s *Sender) inferLoss() {
 			s.pipe -= sg.length
 			sg.counted = false
 		}
-		s.retxQueue = append(s.retxQueue, sg.seq) //greenvet:allow hotpathalloc retransmission queue fills only during loss episodes
+		s.retxQueue.push(sg.seq)
 		s.noteCongestion(sg.seq)
 	}
 }
@@ -482,9 +491,9 @@ func (s *Sender) expireRetransmissions(now sim.Time) {
 	if reo < 100*sim.Microsecond {
 		reo = 100 * sim.Microsecond
 	}
-	for len(s.retxWatch) > 0 && now-s.retxWatch[0].at > reo {
-		w := s.retxWatch[0]
-		s.retxWatch = s.retxWatch[1:]
+	for s.retxWatch.len() > 0 && now-s.retxWatch.front().at > reo {
+		w := s.retxWatch.front()
+		s.retxWatch.pop()
 		if w.seq < s.segBase {
 			continue // already cumulatively acked
 		}
@@ -500,7 +509,7 @@ func (s *Sender) expireRetransmissions(now sim.Time) {
 			s.pipe -= sg.length
 			sg.counted = false
 		}
-		s.retxQueue = append(s.retxQueue, sg.seq) //greenvet:allow hotpathalloc retransmission queue fills only during loss episodes
+		s.retxQueue.push(sg.seq)
 		s.noteCongestion(sg.seq)
 	}
 }
@@ -530,22 +539,22 @@ func (s *Sender) sendOne(now sim.Time) bool {
 	cwnd := int(s.cc.CWnd())
 
 	// Retransmissions take priority and obey the pipe limit.
-	for len(s.retxQueue) > 0 {
-		seq := s.retxQueue[0]
+	for s.retxQueue.len() > 0 {
+		seq := s.retxQueue.front()
 		if seq < s.segBase { // already cumulatively acked
-			s.retxQueue = s.retxQueue[1:]
+			s.retxQueue.pop()
 			continue
 		}
 		sg := s.seg(seq)
 		if sg.sacked || !sg.lost {
-			s.retxQueue = s.retxQueue[1:]
+			s.retxQueue.pop()
 			continue
 		}
 		if s.pipe+sg.length > cwnd && !s.fastRetxPending {
 			return false
 		}
 		s.fastRetxPending = false
-		s.retxQueue = s.retxQueue[1:]
+		s.retxQueue.pop()
 		sg.lost = false
 		sg.retx++
 		s.transmit(sg, now, true)
@@ -596,8 +605,8 @@ func (s *Sender) transmit(sg *segment, now sim.Time, retx bool) {
 	s.pipe += sg.length
 
 	wire := sg.length + HeaderBytes
-	//greenvet:allow hotpathalloc one Packet per segment by design: its lifetime spans links and queues, so pooling belongs to a dedicated packet-pool change
-	p := &netsim.Packet{
+	p := s.host.NewPacket()
+	*p = netsim.Packet{
 		Flow:       s.flow,
 		Dst:        s.dst,
 		Seq:        sg.seq,
@@ -615,7 +624,7 @@ func (s *Sender) transmit(sg *segment, now sim.Time, retx bool) {
 	s.DataSent++
 	if retx {
 		s.Retransmits++
-		s.retxWatch = append(s.retxWatch, retxWatchEntry{seq: sg.seq, at: now}) //greenvet:allow hotpathalloc watch entries accrue only on retransmissions
+		s.retxWatch.push(retxWatchEntry{seq: sg.seq, at: now})
 	}
 	s.account.SentData(retx, int(s.sndNxt-s.sndUna))
 	s.host.Send(p)
@@ -663,7 +672,7 @@ func (s *Sender) armSendTimer() {
 // highest outstanding segment after ~2·SRTT, which elicits the SACK
 // feedback normal recovery needs.
 func (s *Sender) armTLP() {
-	if s.done || s.pipe == 0 || len(s.retxQueue) > 0 {
+	if s.done || s.pipe == 0 || s.retxQueue.len() > 0 {
 		s.tlpTimer.Stop()
 		return
 	}
@@ -704,7 +713,7 @@ func (s *Sender) onTLP() {
 }
 
 func (s *Sender) armRTO() {
-	if s.pipe == 0 && len(s.retxQueue) == 0 && s.sndUna >= s.totalBytes {
+	if s.pipe == 0 && s.retxQueue.len() == 0 && s.sndUna >= s.totalBytes {
 		s.rtoTimer.Stop()
 		return
 	}
@@ -731,7 +740,7 @@ func (s *Sender) onRTO() {
 		s.rtoBackoff++
 	}
 	// Everything unsacked and outstanding is presumed lost.
-	s.retxQueue = s.retxQueue[:0]
+	s.retxQueue.reset()
 	s.lossScan = 0
 	for i := range s.segs {
 		sg := &s.segs[i]
@@ -743,7 +752,7 @@ func (s *Sender) onRTO() {
 			s.pipe -= sg.length
 			sg.counted = false
 		}
-		s.retxQueue = append(s.retxQueue, sg.seq) //greenvet:allow hotpathalloc retransmission queue fills only during loss episodes
+		s.retxQueue.push(sg.seq)
 	}
 	s.recovery = true
 	s.recoveryPoint = s.sndNxt

@@ -28,9 +28,11 @@ func newSenderHarness(t *testing.T, totalBytes uint64, ccName string, cfg Config
 
 // ack injects a cumulative ACK (optionally with SACK blocks).
 func (h *senderHarness) ack(cum uint64, sacks ...netsim.SACKBlock) {
-	h.host.HandlePacket(&netsim.Packet{
-		Flow: 1, Flags: netsim.FlagACK, Ack: cum, SACK: sacks, WireSize: HeaderBytes,
-	})
+	p := &netsim.Packet{Flow: 1, Flags: netsim.FlagACK, Ack: cum, WireSize: HeaderBytes}
+	for _, b := range sacks {
+		p.AddSACK(b)
+	}
+	h.host.HandlePacket(p)
 }
 
 func plainCfg() Config {
@@ -169,7 +171,7 @@ func TestSenderRTORetransmitsAllOutstanding(t *testing.T) {
 	// All 5 outstanding segments (1000..6000) are presumed lost: the
 	// first goes out immediately; the rest wait in the retransmission
 	// queue because the post-RTO window is one segment.
-	if got := len(h.snd.retxQueue); got != 4 {
+	if got := h.snd.retxQueue.len(); got != 4 {
 		t.Fatalf("retx queue = %d entries, want 4 awaiting window", got)
 	}
 	var first *netsim.Packet
