@@ -26,7 +26,8 @@
 //     SendAfterDelay). Absolute or foreign-clock timestamps are how LBTS
 //     monotonicity breaks.
 //  4. Inside the scheduler's own round code — methods of ShardGroup,
-//     Shard, or Conduit other than the top-level Run — no new goroutines
+//     Shard, Conduit, or portal (the per-shard-pair mailbox a round
+//     drains) other than the top-level Run — no new goroutines
 //     (`go` statements) and no nested Engine.Run/Engine.RunUntil calls:
 //     both would dispatch events past the published LBTS floor.
 //     RunBelow, the bounded batch primitive, is the sanctioned way to
@@ -64,7 +65,7 @@ const BoundaryDirective = "//greenvet:shardboundary"
 
 // roundTypes are the receiver types whose methods form the scheduler's
 // round code (rule 4).
-var roundTypes = map[string]bool{"ShardGroup": true, "Shard": true, "Conduit": true}
+var roundTypes = map[string]bool{"ShardGroup": true, "Shard": true, "Conduit": true, "portal": true}
 
 func run(pass *analysis.Pass) (any, error) {
 	for _, f := range pass.Files {

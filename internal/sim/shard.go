@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 )
 
 // This file implements conservative-synchronization parallelism in the
@@ -16,6 +17,16 @@ import (
 // and a central fast-forward pass (a null-message economy run by whichever
 // worker goes idle last) raises LBTS floors when every shard is blocked on
 // its neighbours.
+//
+// A batch's synchronization cost is per peer shard, not per conduit: each
+// shard publishes one monotone floor, and each ordered shard pair shares
+// one portal (mailbox) holding the pair's minimum conduit delay. A
+// destination's LBTS is min over in-portals of src floor + portal delay.
+// Ordering rule: a destination loads every source floor before it checks
+// any mailbox, and a source posts each message before it raises its floor.
+// So every message due below a floor the destination has seen is visible
+// to it, and any later message is due at or above that floor plus its
+// conduit's delay — at or above the destination's LBTS.
 //
 // Determinism contract: for a fixed partition assignment, results are
 // byte-identical for any worker count. Each shard's execution order is the
@@ -43,7 +54,7 @@ const unreachable = MaxTime / 4
 // call Run exactly once.
 type ShardGroup struct {
 	shards   []*Shard
-	conduits []conduitLink
+	conduits uint64 // created so far; fixes each one's ordinal
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -60,6 +71,8 @@ type ShardGroup struct {
 	// graph; the fast-forward pass uses it to bound how soon anything shard
 	// u does next could reach shard s.
 	dist [][]Time
+	// stats.FastForwards is guarded by mu; the rest is summed per shard.
+	stats ShardStats
 }
 
 type shardPanic struct {
@@ -71,12 +84,13 @@ type shardPanic struct {
 type Shard struct {
 	id  int
 	eng *Engine
-	g   *ShardGroup
 
-	in, out []conduitLink
-	// wakeBuf is reused across batches to gather wake candidates without
-	// holding the scheduler lock while publishing bounds.
-	wakeBuf []wakeCand
+	// base is the published floor: nothing the shard does from now on can
+	// reach a peer before base plus the portal's delay. Only the shard's
+	// own batches raise it.
+	base atomic.Int64
+
+	in, out []*portal
 
 	// Scheduler fields, guarded by g.mu.
 	state int
@@ -91,24 +105,56 @@ type Shard struct {
 	// lbtsFloor is a scheduler-proven lower bound on all future arrivals,
 	// from the fast-forward pass. It can exceed every conduit bound.
 	lbtsFloor Time
+
+	stats ShardStats // Messages and Batches; touched only by the running worker
 }
 
-// conduitLink is the type-erased view of a Conduit the scheduler uses.
+// portal is the mailbox of one ordered shard pair, shared by all of the
+// pair's conduits.
+type portal struct {
+	src, dst *Shard
+	delay    Duration    // the pair's smallest conduit delay: its lookahead
+	sent     bool        // the source's current batch posted here; source-local
+	mail     atomic.Bool // dirty is non-empty
+
+	mu           sync.Mutex
+	dirty, spare []conduitLink // dirty: conduits with undrained messages, guarded by mu
+}
+
+// conduitLink is the type-erased view of a Conduit a portal drains: take
+// runs under the portal lock, file outside it and reports the count filed.
 type conduitLink interface {
-	src() int
-	dst() int
-	lookahead() Duration
-	drain() Time
-	publish(b Time) (msgs, advanced bool)
+	take()
+	file() int
 }
 
-// wakeCand is a shard that may need waking after a batch published bounds:
-// either undrained messages await it (msgs), or a conduit bound advanced
-// to b and might unblock it.
-type wakeCand struct {
-	s     *Shard
-	bound Time
-	msgs  bool
+// after returns t+d, saturating at MaxTime.
+func after(t Time, d Duration) Time {
+	if t >= MaxTime-d {
+		return MaxTime
+	}
+	return t + d
+}
+
+// drain files every undrained message into the destination engine and
+// returns the count. It takes the dirty list under the lock and files it
+// outside, so a panicking check never leaves the mailbox locked.
+func (p *portal) drain() int {
+	p.mu.Lock()
+	dirty := p.dirty
+	p.dirty = p.spare[:0]
+	for _, c := range dirty {
+		c.take()
+	}
+	p.mail.Store(false)
+	p.mu.Unlock()
+
+	n := 0
+	for _, c := range dirty {
+		n += c.file()
+	}
+	p.spare = dirty[:0]
+	return n
 }
 
 // NewShardGroup creates n empty, connected-by-nothing partition engines.
@@ -119,7 +165,7 @@ func NewShardGroup(n int) *ShardGroup {
 	g := &ShardGroup{}
 	g.cond = sync.NewCond(&g.mu)
 	for i := 0; i < n; i++ {
-		g.shards = append(g.shards, &Shard{id: i, eng: NewEngine(), g: g})
+		g.shards = append(g.shards, &Shard{id: i, eng: NewEngine()})
 	}
 	return g
 }
@@ -151,6 +197,23 @@ func (g *ShardGroup) Pending() int {
 	return n
 }
 
+// ShardStats counts a Run's synchronization work. Messages (items
+// delivered through conduits) is deterministic and may be asserted
+// exactly. Batches (drain-execute-publish rounds) and FastForwards (passes
+// that woke a shard) depend on worker scheduling: they explain a run's
+// cost and must never feed into results or cache keys.
+type ShardStats struct{ Messages, Batches, FastForwards uint64 }
+
+// Stats reports the group's counters. Only meaningful after Run returns.
+func (g *ShardGroup) Stats() ShardStats {
+	st := g.stats
+	for _, s := range g.shards {
+		st.Messages += s.stats.Messages
+		st.Batches += s.stats.Batches
+	}
+	return st
+}
+
 // Run executes all partitions up to and including deadline on up to
 // workers OS threads (clamped to [1, shards]) and returns when every
 // partition has quiesced: no local event at or below the deadline remains
@@ -171,6 +234,7 @@ func (g *ShardGroup) Run(deadline Time, workers int) {
 		s.gen, s.genSeen = 0, 0
 		s.next = 0
 		s.lbtsFloor = 0
+		s.base.Store(0)
 		g.runq = append(g.runq, s)
 	}
 	g.mu.Unlock()
@@ -247,11 +311,11 @@ func (g *ShardGroup) work() {
 	}
 }
 
-// runBatch drains shard s's inbound conduits, executes every local event
+// runBatch drains shard s's inbound portals, executes every local event
 // strictly below the resulting LBTS (capped just past the deadline), and
-// publishes fresh bounds to the outbound conduits. It returns the earliest
-// remaining local event time. Panics from event callbacks are captured for
-// Run to re-raise on the caller's goroutine.
+// publishes the shard's fresh floor. It returns the earliest remaining
+// local event time. Panics from event callbacks are captured for Run to
+// re-raise on the caller's goroutine.
 func (g *ShardGroup) runBatch(s *Shard, floor Time) (next Time, ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -264,11 +328,18 @@ func (g *ShardGroup) runBatch(s *Shard, floor Time) (next Time, ok bool) {
 			next, ok = 0, false
 		}
 	}()
+	s.stats.Batches++
 
+	// Floors first, then mailboxes (see the ordering rule above).
 	lbts := MaxTime
-	for _, c := range s.in {
-		if b := c.drain(); b < lbts {
+	for _, p := range s.in {
+		if b := after(Time(p.src.base.Load()), p.delay); b < lbts {
 			lbts = b
+		}
+	}
+	for _, p := range s.in {
+		if p.mail.Load() {
+			s.stats.Messages += uint64(p.drain())
 		}
 	}
 	if floor > lbts {
@@ -283,32 +354,30 @@ func (g *ShardGroup) runBatch(s *Shard, floor Time) (next Time, ok bool) {
 	}
 	next = s.eng.RunBelow(limit)
 
-	// Publish per-conduit bounds: nothing this shard does from here on can
-	// reach conduit c's destination before min(next, lbts) + lookahead —
-	// the earliest instant we could still execute or newly learn about,
-	// plus the conduit's floor delay.
+	// Publish the floor, min(next, lbts): the earliest instant we could
+	// still execute or newly learn about. The batch's messages are already
+	// posted. Floors are monotone; a stale batch cannot lower one.
 	base := next
 	if lbts < base {
 		base = lbts
 	}
-	wakes := s.wakeBuf[:0]
-	for _, c := range s.out {
-		b := MaxTime
-		if d := Time(c.lookahead()); base < MaxTime-d {
-			b = base + d
-		}
-		if msgs, advanced := c.publish(b); msgs || advanced {
-			wakes = append(wakes, wakeCand{s: g.shards[c.dst()], bound: b, msgs: msgs})
-		}
+	pub := Time(s.base.Load())
+	advanced := base > pub
+	if advanced {
+		pub = base
+		s.base.Store(int64(pub))
 	}
-	s.wakeBuf = wakes
-	if len(wakes) > 0 {
+	wake := advanced
+	for _, p := range s.out {
+		wake = wake || p.sent
+	}
+	if wake {
 		g.mu.Lock()
-		for _, w := range wakes {
-			if w.msgs {
+		for _, p := range s.out {
+			if p.sent {
 				// Messages owe the destination a drain, whatever its state.
-				g.wakeLocked(w.s)
-			} else if w.s.state == shardParked && w.bound > w.s.next {
+				g.wakeLocked(p.dst)
+			} else if advanced && p.dst.state == shardParked && after(pub, p.delay) > p.dst.next {
 				// A bare bound advance matters only if it could let a parked
 				// shard execute its next event. Waking unconditionally would
 				// let two idle shards ratchet each other's bounds one
@@ -318,8 +387,9 @@ func (g *ShardGroup) runBatch(s *Shard, floor Time) (next Time, ok bool) {
 				// leave it parked-but-executable; the fast-forward pass
 				// always wakes the globally earliest such shard, so progress
 				// never stalls.)
-				g.wakeLocked(w.s)
+				g.wakeLocked(p.dst)
 			}
+			p.sent = false
 		}
 		g.mu.Unlock()
 	}
@@ -373,6 +443,9 @@ func (g *ShardGroup) fastForwardLocked() bool {
 			woke = true
 		}
 	}
+	if woke {
+		g.stats.FastForwards++
+	}
 	if !woke && !quiescent {
 		// Cannot happen: the globally earliest non-quiescent shard always
 		// receives a floor of at least next + lookahead (or MaxTime when
@@ -382,7 +455,7 @@ func (g *ShardGroup) fastForwardLocked() bool {
 	return woke
 }
 
-// computeDist runs Floyd–Warshall over the conduit graph. Callers hold
+// computeDist runs Floyd–Warshall over the portal graph. Callers hold
 // g.mu (Run's setup).
 func (g *ShardGroup) computeDist() {
 	n := len(g.shards)
@@ -393,9 +466,9 @@ func (g *ShardGroup) computeDist() {
 			g.dist[i][j] = unreachable
 		}
 	}
-	for _, c := range g.conduits {
-		if d := Time(c.lookahead()); d < g.dist[c.src()][c.dst()] {
-			g.dist[c.src()][c.dst()] = d
+	for _, s := range g.shards {
+		for _, p := range s.out {
+			g.dist[s.id][p.dst.id] = p.delay
 		}
 	}
 	for k := 0; k < n; k++ {
@@ -416,38 +489,36 @@ func (g *ShardGroup) computeDist() {
 // Conduit is a one-way, single-source inter-shard channel delivering items
 // of type T at explicit future times. The fixed delay is both the minimum
 // source-to-destination latency and the lookahead the scheduler leans on:
-// Send panics if an item is scheduled below the conduit's published bound.
-// Per-conduit due times must be nondecreasing (cross-shard links serialize
-// their traffic, so this holds by construction, as with DelayLine).
+// Send panics if an item is scheduled below the source's published floor
+// plus the delay. Per-conduit due times must be nondecreasing (cross-shard
+// links serialize their traffic, so this holds by construction, as with
+// DelayLine).
 //
 // The source side (Send) is called from the source shard's event
-// callbacks; the receive side (drain/fire) runs only on the goroutine
-// currently executing the destination shard. The two meet at a small
-// mutex-guarded double buffer.
+// callbacks; the receive side (take/file/fire) runs only on the goroutine
+// currently executing the destination shard. The two meet at a double
+// buffer guarded by the shard pair's portal.
 type Conduit[T any] struct {
-	g            *ShardGroup
-	srcID, dstID int
-	delay        Duration
-	deliver      func(T)
+	src     *Shard
+	p       *portal
+	delay   Duration
+	deliver func(T)
 	// ordinal is the conduit's creation index; together with a local
 	// message counter it forms arrival sequence numbers that depend only
 	// on construction order and traffic, never on worker scheduling.
 	ordinal uint64
 
-	// Source-to-destination handoff, guarded by mu.
-	mu       sync.Mutex
-	buf      []conduitMsg[T]
-	bound    Time
-	needWake bool
+	// Source-to-destination handoff, guarded by p.mu.
+	buf []conduitMsg[T]
 
 	// Receive side: destination-shard-local, no locking.
-	srcEng, dstEng *Engine
-	spare          []conduitMsg[T]
-	ring           []conduitItem[T]
-	head, n        int
-	msgIdx         uint64
-	lastAt         Time
-	ev             Event
+	dstEng       *Engine
+	inbox, spare []conduitMsg[T]
+	ring         []conduitItem[T]
+	head, n      int
+	msgIdx       uint64
+	lastAt       Time
+	ev           Event
 }
 
 type conduitMsg[T any] struct {
@@ -482,34 +553,38 @@ func NewConduit[T any](g *ShardGroup, src, dst int, delay Duration, fn func(T)) 
 		g.mu.Unlock()
 		panic("sim: NewConduit after ShardGroup.Run")
 	}
+	from, to := g.shards[src], g.shards[dst]
+	var p *portal
+	for _, q := range from.out {
+		if q.dst == to {
+			p = q
+			break
+		}
+	}
+	if p == nil {
+		p = &portal{src: from, dst: to, delay: delay}
+		from.out = append(from.out, p)
+		to.in = append(to.in, p)
+	} else if delay < p.delay {
+		p.delay = delay
+	}
 	c := &Conduit[T]{
-		g:       g,
-		srcID:   src,
-		dstID:   dst,
+		src:     from,
+		p:       p,
 		delay:   delay,
 		deliver: fn,
-		ordinal: uint64(len(g.conduits)),
-		// The earliest send happens at source time ≥ 0, so nothing can
-		// arrive before delay; start the bound there.
-		bound:  Time(delay),
-		srcEng: g.shards[src].eng,
-		dstEng: g.shards[dst].eng,
+		ordinal: g.conduits,
+		dstEng:  to.eng,
 	}
 	c.ev.eng = c.dstEng
 	c.ev.idx = -1
 	c.ev.band = bandPortal
 	c.ev.pinned = true
 	c.ev.fn = c.fire
-	g.conduits = append(g.conduits, c)
-	g.shards[src].out = append(g.shards[src].out, c)
-	g.shards[dst].in = append(g.shards[dst].in, c)
+	g.conduits++
 	g.mu.Unlock()
 	return c
 }
-
-func (c *Conduit[T]) src() int            { return c.srcID }
-func (c *Conduit[T]) dst() int            { return c.dstID }
-func (c *Conduit[T]) lookahead() Duration { return c.delay }
 
 // Delay returns the conduit's lookahead: the minimum source-to-destination
 // latency promised at construction. Callers binding a conduit behind a
@@ -519,38 +594,44 @@ func (c *Conduit[T]) Delay() Duration { return c.delay }
 // Send hands item to the destination shard for delivery at absolute time
 // at. Must be called from the source shard's event callbacks (that is what
 // makes send order, and thus arrival order, deterministic). at must respect
-// the conduit's lookahead promise — at least now + delay — and per-conduit
-// due times must be nondecreasing.
+// the conduit's lookahead promise — at least the source's published floor
+// plus this conduit's own delay, which now + delay always is — and
+// per-conduit due times must be nondecreasing.
 //
 //greenvet:hotpath
 func (c *Conduit[T]) Send(at Time, item T) {
-	c.mu.Lock()
-	if at < c.bound {
-		c.mu.Unlock()
-		panic(fmt.Sprintf("sim: conduit send at %v violates published bound %v (lookahead %v)", at, c.bound, c.delay))
+	if b := after(Time(c.src.base.Load()), c.delay); at < b {
+		panic(fmt.Sprintf("sim: conduit send at %v violates published bound %v (lookahead %v)", at, b, c.delay))
+	}
+	p := c.p
+	p.mu.Lock()
+	if len(c.buf) == 0 {
+		p.dirty = append(p.dirty, c) //greenvet:allow hotpathalloc dirty list is recycled every drain, so growth settles at the pair's conduit count
+		p.mail.Store(true)
 	}
 	c.buf = append(c.buf, conduitMsg[T]{item: item, at: at}) //greenvet:allow hotpathalloc double buffer is recycled every drain, so growth settles at the conduit's peak in-flight count
-	c.needWake = true
-	c.mu.Unlock()
+	p.mu.Unlock()
+	p.sent = true
 }
 
 // SendAfterDelay delivers item at the source shard's current time plus the
 // conduit delay — the earliest instant the lookahead permits.
 func (c *Conduit[T]) SendAfterDelay(item T) {
-	c.Send(c.srcEng.Now()+Time(c.delay), item)
+	c.Send(c.src.eng.Now()+c.delay, item)
 }
 
-// drain moves every buffered message into the destination engine's event
-// queue and returns the source's published bound as of the swap. Runs on
-// the goroutine executing the destination shard.
-func (c *Conduit[T]) drain() Time {
-	c.mu.Lock()
-	msgs := c.buf
+// take swaps the source's buffer for the recycled one under the portal
+// lock.
+func (c *Conduit[T]) take() {
+	c.inbox = c.buf
 	c.buf = c.spare[:0]
-	c.needWake = false
-	b := c.bound
-	c.mu.Unlock()
+}
 
+// file moves the taken messages into the destination engine's event queue
+// on the destination shard's goroutine, outside the portal lock.
+func (c *Conduit[T]) file() int {
+	msgs := c.inbox
+	c.inbox = nil
 	var zero T
 	for i := range msgs {
 		m := &msgs[i]
@@ -572,22 +653,7 @@ func (c *Conduit[T]) drain() Time {
 		h := &c.ring[c.head]
 		c.dstEng.pushAt(&c.ev, h.at, h.seq)
 	}
-	return b
-}
-
-// publish raises the conduit's bound to b (bounds are monotone; stale
-// batches cannot lower one) and reports whether undrained messages are
-// waiting and whether the bound advanced.
-func (c *Conduit[T]) publish(b Time) (msgs, advanced bool) {
-	c.mu.Lock()
-	msgs = c.needWake
-	c.needWake = false
-	if b > c.bound {
-		c.bound = b
-		advanced = true
-	}
-	c.mu.Unlock()
-	return msgs, advanced
+	return len(msgs)
 }
 
 // fire delivers the head arrival and re-arms the portal event for the

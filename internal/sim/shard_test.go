@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 // ringModel builds a 4-shard bidirectional ring that bounces tokens around
@@ -73,6 +74,26 @@ func runRing(t *testing.T, workers int) ([4][]string, uint64) {
 	return m.traces, m.g.Fired()
 }
 
+// The ring's conduit traffic is fixed by the model: 12 seed tokens, each
+// launch below hop 12 sends one token each way, so hop h carries 24·2^h
+// messages and the run delivers 24·(2^12−1). Messages must hit that count
+// exactly for every worker count; Batches depends on scheduling, so it is
+// only checked for a floor.
+func TestShardGroupStatsMessagesExact(t *testing.T) {
+	const want = 24 * (1<<12 - 1)
+	for _, workers := range []int{1, 2, 4} {
+		m := newRingModel()
+		m.g.Run(Second, workers)
+		st := m.g.Stats()
+		if st.Messages != want {
+			t.Errorf("workers=%d: Stats().Messages = %d, want %d", workers, st.Messages, want)
+		}
+		if st.Batches < 4 {
+			t.Errorf("workers=%d: Stats().Batches = %d, want at least one per shard", workers, st.Batches)
+		}
+	}
+}
+
 func TestShardGroupDeterministicAcrossWorkers(t *testing.T) {
 	golden, goldenFired := runRing(t, 1)
 	total := 0
@@ -115,16 +136,96 @@ func TestConduitLookaheadViolationPanics(t *testing.T) {
 	g := NewShardGroup(2)
 	c := NewConduit(g, 0, 1, 10*Microsecond, func(int) {})
 	g.Engine(0).At(0, func() { c.Send(Microsecond, 7) })
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("undershooting the lookahead bound did not panic")
+	if msg := runPanic(t, g, 2); !strings.Contains(msg, "violates published bound") {
+		t.Fatalf("panic = %q, want a lookahead-bound violation", msg)
+	}
+}
+
+// Two conduits of one shard pair share a portal whose lookahead is the
+// smaller delay, yet each Send is still held to its own conduit's delay,
+// and the destination's LBTS follows the fast conduit: its 2 µs arrival
+// fires before a local event at 3 µs.
+func TestPortalMixedDelayPair(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		g := NewShardGroup(2)
+		var order []string
+		fast := NewConduit(g, 0, 1, 2*Microsecond, func(s string) { order = append(order, s) })
+		slow := NewConduit(g, 0, 1, 10*Microsecond, func(s string) { order = append(order, s) })
+		g.Engine(1).At(3*Microsecond, func() { order = append(order, "local") })
+		g.Engine(0).At(0, func() {
+			slow.SendAfterDelay("slow")
+			fast.SendAfterDelay("fast")
+		})
+		g.Run(Second, workers)
+		if want := []string{"fast", "local", "slow"}; !reflect.DeepEqual(order, want) {
+			t.Errorf("workers=%d: order = %v, want %v", workers, order, want)
 		}
-		if msg := fmt.Sprint(r); !strings.Contains(msg, "violates published bound") {
-			t.Fatalf("panic = %q, want a lookahead-bound violation", msg)
+
+		g = NewShardGroup(2)
+		NewConduit(g, 0, 1, 2*Microsecond, func(int) {})
+		slow10 := NewConduit(g, 0, 1, 10*Microsecond, func(int) {})
+		eng := g.Engine(0)
+		eng.At(0, func() { slow10.Send(eng.Now()+5*Microsecond, 1) })
+		if msg := runPanic(t, g, workers); !strings.Contains(msg, "violates published bound") {
+			t.Errorf("workers=%d: panic = %q, want the slow conduit's own bound violated", workers, msg)
 		}
+	}
+}
+
+// Due times going backwards on one conduit must panic out of Run, never
+// deadlock it: both shards keep chattering across the cut, so the source
+// is typically mid-batch, posting into the same portal, when the
+// destination's drain fails.
+func TestConduitDueTimesBackwardsPanics(t *testing.T) {
+	const delay = 100 * Microsecond
+	for _, workers := range []int{1, 2} {
+		g := NewShardGroup(2)
+		c := NewConduit(g, 0, 1, delay, func(int) {})
+		chat := [2]*Conduit[int]{
+			NewConduit(g, 0, 1, delay, func(int) {}),
+			NewConduit(g, 1, 0, delay, func(int) {}),
+		}
+		for i := range chat {
+			eng, out := g.Engine(i), chat[i]
+			var chatter func()
+			chatter = func() {
+				out.SendAfterDelay(0)
+				if eng.Now() < 2*Millisecond {
+					eng.After(10*Nanosecond, chatter)
+				}
+			}
+			eng.At(0, chatter)
+		}
+		eng := g.Engine(0)
+		eng.At(Millisecond, func() {
+			c.Send(eng.Now()+2*delay, 1)
+			c.Send(eng.Now()+delay, 2)
+		})
+		if msg := runPanic(t, g, workers); !strings.Contains(msg, "due times went backwards") {
+			t.Errorf("workers=%d: panic = %q, want due times going backwards", workers, msg)
+		}
+	}
+}
+
+// runPanic runs g and returns the panic Run raised, failing the test if
+// Run returns normally or does not return within 30 seconds.
+func runPanic(t *testing.T, g *ShardGroup, workers int) string {
+	t.Helper()
+	done := make(chan string, 1)
+	go func() {
+		defer func() { done <- fmt.Sprint(recover()) }()
+		g.Run(Second, workers)
 	}()
-	g.Run(Second, 2)
+	select {
+	case msg := <-done:
+		if msg == "<nil>" {
+			t.Fatalf("workers=%d: Run returned without panicking", workers)
+		}
+		return msg
+	case <-time.After(30 * time.Second):
+		t.Fatalf("workers=%d: Run deadlocked instead of panicking", workers)
+		return ""
+	}
 }
 
 // A panic inside a shard's event callback must surface from Run on the
@@ -134,18 +235,9 @@ func TestShardPanicPropagates(t *testing.T) {
 		g := NewShardGroup(2)
 		NewConduit(g, 0, 1, Microsecond, func(int) {})
 		g.Engine(1).At(Millisecond, func() { panic("boom on shard 1") })
-		func() {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatalf("workers=%d: shard panic did not propagate", workers)
-				}
-				if msg := fmt.Sprint(r); !strings.Contains(msg, "boom on shard 1") {
-					t.Fatalf("workers=%d: panic = %q, want original payload", workers, msg)
-				}
-			}()
-			g.Run(Second, workers)
-		}()
+		if msg := runPanic(t, g, workers); !strings.Contains(msg, "boom on shard 1") {
+			t.Fatalf("workers=%d: panic = %q, want original payload", workers, msg)
+		}
 	}
 }
 
