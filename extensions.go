@@ -10,11 +10,9 @@ import (
 	"greenenvy/internal/testbed"
 )
 
-// This file implements the paper's §5 future-work experiments, which go
-// beyond the published figures:
-//
-//   - Incast: does the fairness/energy result hold as the number of
-//     competing senders grows? (Theorem 1 says the gap widens with n.)
+// This file implements the paper's §5 future-work experiments that no
+// scenario preset expresses, which go beyond the published figures (the
+// incast sweep is a builtin scenario spec, scenario.Incast):
 //
 //   - Same-sender multiplexing: what if the competing flows share one
 //     end-host? (The aggregate host throughput is then constant, so the
@@ -26,11 +24,6 @@ import (
 
 func init() {
 	Register(Experiment{
-		Name: "incast", Order: 110, Section: "§5",
-		Description: "fair-vs-serial savings as synchronized fan-in grows",
-		Run:         func(o Options) (Result, error) { return RunIncast(o) },
-	})
-	Register(Experiment{
 		Name: "samesender", Order: 120, Section: "§5",
 		Description: "both flows on one host: the savings (mostly) vanish",
 		Run:         func(o Options) (Result, error) { return RunSameSender(o) },
@@ -40,117 +33,6 @@ func init() {
 		Description: "which model ingredients carry each paper result (closed form)",
 		Run:         func(o Options) (Result, error) { return RunAblations(o) },
 	})
-}
-
-// IncastPoint is one fan-in width of the incast experiment.
-type IncastPoint struct {
-	Senders        int
-	FairJ          float64
-	SerialJ        float64
-	SavingsPct     float64
-	AnalyticPct    float64
-	FairDuration   float64
-	SerialDuration float64
-}
-
-// IncastResult sweeps the number of synchronized senders sharing the
-// bottleneck (the §5 "incast" direction). Theorem 1 predicts growing
-// savings as the fair share per flow shrinks.
-type IncastResult struct {
-	Points []IncastPoint
-	// TotalGbit is the aggregate data moved per run (constant across
-	// fan-in widths so runs are comparable).
-	TotalGbit float64
-}
-
-// RunIncast measures fair-vs-serial energy for 2..16 synchronized senders
-// moving a fixed aggregate volume through the 10 Gb/s bottleneck.
-func RunIncast(o Options) (IncastResult, error) {
-	o, err := o.WithDefaults()
-	if err != nil {
-		return IncastResult{}, err
-	}
-	totalBytes := uint64(20 * registry.PaperGbit * o.Scale)
-	res := IncastResult{TotalGbit: float64(totalBytes) * 8 / 1e9}
-	p := PaperPowerFunc()
-
-	for _, n := range []int{2, 4, 8, 16} {
-		per := totalBytes / uint64(n)
-		run := func(serial bool) (float64, float64, error) {
-			id := fmt.Sprintf("incast/n=%d/serial=%t/per=%d", n, serial, per)
-			aggs, err := registry.RunCell(o, id, func(seed uint64) (*testbed.Testbed, error) {
-				tb := testbed.New(testbed.Options{Senders: n, UseDRR: !serial, Seed: seed})
-				var prev *iperf.Client
-				for i := 0; i < n; i++ {
-					c, err := tb.AddFlow(i, iperf.Spec{Bytes: per, CCA: "cubic"})
-					if err != nil {
-						return nil, err
-					}
-					if serial {
-						if prev != nil {
-							c.StartAfter(prev)
-						}
-						prev = c
-					} else if err := tb.SetWeight(c.Report().Flow, 1/float64(n)); err != nil {
-						return nil, err
-					}
-				}
-				return tb, nil
-			}, registry.DeadlineFor(totalBytes), registry.SenderJoules, registry.RunSeconds)
-			if err != nil {
-				return 0, 0, err
-			}
-			return aggs[0].Mean, aggs[1].Mean, nil
-		}
-		fairJ, fairD, err := run(false)
-		if err != nil {
-			return IncastResult{}, fmt.Errorf("incast n=%d fair: %w", n, err)
-		}
-		serialJ, serialD, err := run(true)
-		if err != nil {
-			return IncastResult{}, fmt.Errorf("incast n=%d serial: %w", n, err)
-		}
-
-		// Analytic prediction: n hosts at C/n for T vs serial.
-		flows := make([]Flow, n)
-		for i := range flows {
-			flows[i] = Flow{Bytes: float64(per)}
-		}
-		fairS, err := FairShare(flows, 10e9)
-		if err != nil {
-			return IncastResult{}, err
-		}
-		serialS, err := FullSpeedThenIdle(flows, 10e9)
-		if err != nil {
-			return IncastResult{}, err
-		}
-		analytic := (fairS.Energy(p) - serialS.Energy(p)) / fairS.Energy(p) * 100
-
-		res.Points = append(res.Points, IncastPoint{
-			Senders:        n,
-			FairJ:          fairJ,
-			SerialJ:        serialJ,
-			SavingsPct:     (fairJ - serialJ) / fairJ * 100,
-			AnalyticPct:    analytic,
-			FairDuration:   fairD,
-			SerialDuration: serialD,
-		})
-		o.Logf("incast: n=%d savings %.1f%% (analytic %.1f%%)", n, (fairJ-serialJ)/fairJ*100, analytic)
-	}
-	return res, nil
-}
-
-// Table renders the incast sweep.
-func (r IncastResult) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Incast (§5) — fair vs serial energy, %.1f Gbit aggregate, N synchronized senders\n", r.TotalGbit)
-	fmt.Fprintf(&b, "%-8s %12s %12s %10s %12s\n", "senders", "fair (J)", "serial (J)", "savings", "analytic")
-	for _, p := range r.Points {
-		fmt.Fprintf(&b, "%-8d %12.1f %12.1f %9.2f%% %11.2f%%\n", p.Senders, p.FairJ, p.SerialJ, p.SavingsPct, p.AnalyticPct)
-	}
-	b.WriteString("(Theorem 1 keeps fair strictly worst at every fan-in; the relative saving\n")
-	b.WriteString(" peaks near n=4 because idle power dominates both schedules at high fan-in)\n")
-	return b.String()
 }
 
 // SameSenderResult compares fair and serial scheduling when both flows

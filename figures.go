@@ -248,41 +248,3 @@ func (r WorkloadResult) SVG() (string, error) {
 		Series: out,
 	}.SVG()
 }
-
-// SVG renders the cross-rack fairness sweep.
-func (r CrossRackResult) SVG() (string, error) {
-	measured := plot.Series{Name: "measured"}
-	analytic := plot.Series{Name: "analytic"}
-	for _, p := range r.Points {
-		measured.X = append(measured.X, p.Fraction*100)
-		measured.Y = append(measured.Y, p.SavingsPct)
-		analytic.X = append(analytic.X, p.Fraction*100)
-		analytic.Y = append(analytic.Y, p.AnalyticSavingsPct)
-	}
-	return plot.Chart{
-		Title:  "Cross-rack — energy savings vs core-link bandwidth fraction to flow 1",
-		XLabel: "fraction of the shared core link allocated to flow 1 (%)",
-		YLabel: "energy savings over fair allocation (%)",
-		Kind:   "line",
-		Series: []plot.Series{measured, analytic},
-	}.SVG()
-}
-
-// SVG renders the incast extension sweep.
-func (r IncastResult) SVG() (string, error) {
-	measured := plot.Series{Name: "measured"}
-	analytic := plot.Series{Name: "analytic"}
-	for _, p := range r.Points {
-		measured.X = append(measured.X, float64(p.Senders))
-		measured.Y = append(measured.Y, p.SavingsPct)
-		analytic.X = append(analytic.X, float64(p.Senders))
-		analytic.Y = append(analytic.Y, p.AnalyticPct)
-	}
-	return plot.Chart{
-		Title:  "Incast — serial-schedule savings vs fan-in",
-		XLabel: "synchronized senders",
-		YLabel: "energy savings (%)",
-		Kind:   "line",
-		Series: []plot.Series{measured, analytic},
-	}.SVG()
-}

@@ -16,8 +16,12 @@
 //
 //   - One experiment runner per figure of the paper (RunFig1 … RunFig8 via
 //     RunCCASweep), each returning the same rows/series the paper plots,
-//     plus the §5 future-work experiments (RunIncast, RunSameSender,
-//     RunProduction, RunWorkload, RunAblations, CompareSchedulers).
+//     plus the §5 future-work experiments (RunIncast, RunFatTreeIncast,
+//     RunCrossRack, RunSameSender, RunProduction, RunWorkload,
+//     RunAblations, CompareSchedulers). The fair-vs-serial sweeps (RunFig1,
+//     RunIncast, RunFatTreeIncast, RunCrossRack) run builtin scenario specs
+//     compiled by internal/scenario, the same declarative form
+//     `greenbench -scenario` loads from a file.
 //
 // Every experiment also registers itself in the experiment registry
 // (Experiments, LookupExperiment): a uniform catalogue of name, aliases,

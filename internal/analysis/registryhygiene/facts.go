@@ -28,8 +28,8 @@ const ScenarioCacheIDPrefix = "scenario/"
 
 // Figures 5–8 intentionally share the "sweep/" id prefix: they are four views over
 // the one CCA sweep dataset and must share its cached repetitions.
-// "fig1", "fattree-incast" and "aqm-matrix" are scenario-compiled (see
-// ScenarioCacheIDPrefix).
+// "fig1", "incast", "fattree-incast", "crossrack" and "aqm-matrix" are
+// scenario-compiled (see ScenarioCacheIDPrefix).
 var ExperimentCacheIDs = map[string]string{
 	"fig1":               ScenarioCacheIDPrefix,
 	"fig2":               "fig2/",
@@ -43,9 +43,9 @@ var ExperimentCacheIDs = map[string]string{
 	"scheduler":          "", // closed form
 	"frontier":           "", // closed form
 	"ablations":          "", // closed form
-	"incast":             "incast/",
+	"incast":             ScenarioCacheIDPrefix,
 	"fattree-incast":     ScenarioCacheIDPrefix,
-	"crossrack":          "crossrack/",
+	"crossrack":          ScenarioCacheIDPrefix,
 	"samesender":         "samesender/",
 	"production":         "production/",
 	"workload":           "workload/",

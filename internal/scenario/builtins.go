@@ -24,6 +24,25 @@ func Fig1() Spec {
 	}
 }
 
+// Incast is the registered incast experiment (§5 future work): fair vs
+// serial for 2 to 16 synchronized senders sharing the dumbbell bottleneck
+// at constant aggregate volume. Theorem 1 predicts fair stays worst at
+// every width.
+func Incast() Spec {
+	return Spec{
+		Name:        "incast",
+		Description: "fair-vs-serial savings as synchronized fan-in grows",
+		Section:     "§5",
+		Order:       110,
+		Preset:      PresetFanInSweep,
+		Topology:    Topology{Kind: KindDumbbell},
+		Sweep: &Sweep{
+			TotalGbit: 20,
+			Widths:    []int{2, 4, 8, 16},
+		},
+	}
+}
+
 // FatTreeIncast is the registered fattree-incast experiment: Theorem 1 on
 // a fabric, fair vs serial cross-rack fan-in swept from 16 to 256 senders
 // (1024 at Scale >= 0.25).
@@ -39,6 +58,24 @@ func FatTreeIncast() Spec {
 			TotalGbit: 20,
 			Widths:    []int{16, 64, 256},
 			WideWidth: 1024,
+		},
+	}
+}
+
+// CrossRack is the registered crossrack experiment: Figure 1 with the
+// shared bottleneck relocated onto a core link of a k=4 fat-tree, where
+// two cross-pod flows' ECMP paths collide.
+func CrossRack() Spec {
+	return Spec{
+		Name:        "crossrack",
+		Description: "energy vs fairness when the shared bottleneck is a fat-tree core link",
+		Section:     "§5",
+		Order:       116,
+		Preset:      PresetFractionSweep,
+		Topology:    Topology{Kind: KindFatTree, K: 4},
+		Sweep: &Sweep{
+			GbitPerFlow: 10,
+			Fractions:   []float64{0.5, 0.6, 0.7, 0.8, 0.9, 1.0},
 		},
 	}
 }
@@ -81,7 +118,9 @@ type builtin struct {
 // builtins maps registry names to their specs.
 var builtins = map[string]builtin{
 	"fig1":           {Fig1, []string{"1"}},
+	"incast":         {Incast, nil},
 	"fattree-incast": {FatTreeIncast, nil},
+	"crossrack":      {CrossRack, nil},
 	"aqm-matrix":     {AQMMatrix, nil},
 }
 

@@ -152,7 +152,12 @@ func TestInvalidSpecs(t *testing.T) {
 		{"weight without drr", `{"name":"t","topology":{"kind":"dumbbell"},"flows":[{"gbit":1,"weight":0.5}]}`, "weight needs the drr queue"},
 		{"self chain", `{"name":"t","topology":{"kind":"dumbbell"},"flows":[{"gbit":1,"after":0}]}`, "must name another flow"},
 		{"fanin with k", `{"name":"t","preset":"fanin-sweep","topology":{"kind":"fattree","k":4},"sweep":{"total_gbit":20,"widths":[4]}}`, "derives k per width"},
-		{"fanin on dumbbell", `{"name":"t","preset":"fanin-sweep","topology":{"kind":"dumbbell"},"sweep":{"total_gbit":20,"widths":[4]}}`, "needs the fattree topology"},
+		{"fanin dumbbell with senders", `{"name":"t","preset":"fanin-sweep","topology":{"kind":"dumbbell","senders":4},"sweep":{"total_gbit":20,"widths":[4]}}`, "derives the senders per width"},
+		{"fanin dumbbell with access delays", `{"name":"t","preset":"fanin-sweep","topology":{"kind":"dumbbell","access_delays_us":[5]},"sweep":{"total_gbit":20,"widths":[4]}}`, "derives the senders per width"},
+		{"fanin wide width of one", `{"name":"t","preset":"fanin-sweep","topology":{"kind":"fattree"},"sweep":{"total_gbit":20,"widths":[4],"wide_width":1}}`, "sweep.wide_width = 1"},
+		{"fraction on fattree without k", `{"name":"t","preset":"fraction-sweep","topology":{"kind":"fattree"},"sweep":{"gbit_per_flow":10,"fractions":[0.5]}}`, "must be even and >= 4"},
+		{"fraction on one sender", `{"name":"t","preset":"fraction-sweep","topology":{"kind":"dumbbell","senders":1},"sweep":{"gbit_per_flow":10,"fractions":[0.5]}}`, "senders must be at least 2"},
+		{"sweep preset with loads", `{"name":"t","preset":"fraction-sweep","topology":{"kind":"dumbbell"},"sweep":{"gbit_per_flow":10,"fractions":[0.5]},"loads":[{"fraction":0.5}]}`, "runs no background load"},
 		{"odd arity", `{"name":"t","topology":{"kind":"fattree","k":5},"flows":[{"gbit":1,"src":0,"dst":1}]}`, "must be even"},
 		{"fraction out of range", `{"name":"t","preset":"fraction-sweep","topology":{"kind":"dumbbell"},"sweep":{"gbit_per_flow":10,"fractions":[0.3]}}`, "outside [0.5, 1.0]"},
 		{"sweep preset with flows", `{"name":"t","preset":"fraction-sweep","topology":{"kind":"dumbbell"},"flows":[{"gbit":1}],"sweep":{"gbit_per_flow":10,"fractions":[0.5]}}`, "generates its own flows"},

@@ -35,8 +35,9 @@ type Spec struct {
 	// Order positions the experiment in the registry listing.
 	Order int `json:"order,omitempty"`
 	// Preset selects the compiled shape: "" (run the literal Flows once per
-	// repetition), "fraction-sweep" (the Figure 1 bandwidth-fraction sweep),
-	// "fanin-sweep" (the fat-tree incast fair-vs-serial sweep), or
+	// repetition), "fraction-sweep" (the Figure 1 bandwidth-fraction sweep,
+	// at the dumbbell bottleneck or a fat-tree core link), "fanin-sweep"
+	// (the incast fair-vs-serial sweep, on the dumbbell or a fat-tree), or
 	// "aqm-matrix" (CCA × queue-discipline matrix on the dumbbell
 	// bottleneck).
 	Preset   string   `json:"preset,omitempty"`
@@ -44,7 +45,8 @@ type Spec struct {
 	// Flows are the literal flows of the generic preset, installed in
 	// order (order is part of the deterministic schedule).
 	Flows []Flow `json:"flows,omitempty"`
-	// Loads run stress background load on dumbbell sender hosts.
+	// Loads run stress background load on dumbbell sender hosts (literal-flows
+	// preset only).
 	Loads []Load `json:"loads,omitempty"`
 	// Sweep carries the axes of the sweep presets.
 	Sweep *Sweep `json:"sweep,omitempty"`
@@ -55,7 +57,8 @@ type Topology struct {
 	// Kind is "dumbbell" or "fattree".
 	Kind string `json:"kind"`
 
-	// Senders is the dumbbell sender-host count (default 2).
+	// Senders is the dumbbell sender-host count (default 2). The
+	// fanin-sweep preset derives it per width and requires it unset.
 	Senders int `json:"senders,omitempty"`
 	// BottleneckBps is the dumbbell bottleneck rate (default 10 Gb/s).
 	BottleneckBps int64 `json:"bottleneck_bps,omitempty"`
@@ -65,7 +68,8 @@ type Topology struct {
 	BondedLinks int `json:"bonded_links,omitempty"`
 	// AccessDelaysUs optionally sets per-sender access-link delay in
 	// microseconds (heterogeneous RTTs); senders beyond the slice, the
-	// receiver access link, and the bottleneck use LinkDelayUs.
+	// receiver access link, and the bottleneck use LinkDelayUs. The
+	// fanin-sweep preset requires it unset.
 	AccessDelaysUs []float64 `json:"access_delays_us,omitempty"`
 
 	// K is the fat-tree arity (even, >= 4). The fanin-sweep preset derives
@@ -266,6 +270,9 @@ func (s Spec) withDefaults() (Spec, error) {
 			s.Description = presetDescription(s.Preset)
 		}
 	}
+	if len(s.Loads) != 0 && s.Preset != PresetFlows {
+		return s, errf("preset %q runs no background load; drop the loads block", s.Preset)
+	}
 	for i, l := range s.Loads {
 		if s.Topology.Kind != KindDumbbell {
 			return s, errf("load %d: background load needs the dumbbell topology", i)
@@ -285,7 +292,7 @@ func presetDescription(preset string) string {
 	case PresetFractionSweep:
 		return "scenario spec: energy savings vs bandwidth fraction for two competing flows"
 	case PresetFanInSweep:
-		return "scenario spec: fair-vs-serial energy for fat-tree fan-in"
+		return "scenario spec: fair-vs-serial energy as synchronized fan-in grows"
 	case PresetAQMMatrix:
 		return "scenario spec: J/GB and Jain fairness per CCA x queue-discipline cell"
 	}
@@ -295,17 +302,23 @@ func presetDescription(preset string) string {
 func (t Topology) withDefaults(preset string) (Topology, error) {
 	switch t.Kind {
 	case KindDumbbell:
-		if preset == PresetFanInSweep {
-			return t, errf("preset %q needs the fattree topology", preset)
-		}
 		if t.K != 0 || t.HostBps != 0 || t.EdgeAggBps != 0 || t.AggCoreBps != 0 {
 			return t, errf("dumbbell topology does not take fat-tree fields (k, host_bps, edge_agg_bps, agg_core_bps)")
 		}
-		if t.Senders == 0 {
-			t.Senders = 2
-		}
-		if t.Senders < 1 {
-			return t, errf("dumbbell needs at least one sender, got %d", t.Senders)
+		if preset == PresetFanInSweep {
+			if t.Senders != 0 || len(t.AccessDelaysUs) != 0 {
+				return t, errf("the fanin-sweep preset derives the senders per width; drop the senders and access_delays_us fields")
+			}
+		} else {
+			if t.Senders == 0 {
+				t.Senders = 2
+			}
+			if t.Senders < 1 {
+				return t, errf("dumbbell needs at least one sender, got %d", t.Senders)
+			}
+			if preset == PresetFractionSweep && t.Senders < 2 {
+				return t, errf("the fraction-sweep preset places its two flows on senders 0 and 1; senders must be at least 2")
+			}
 		}
 		if t.BottleneckBps == 0 {
 			t.BottleneckBps = 10_000_000_000
@@ -328,7 +341,7 @@ func (t Topology) withDefaults(preset string) (Topology, error) {
 			}
 		}
 	case KindFatTree:
-		if preset == PresetFractionSweep || preset == PresetAQMMatrix {
+		if preset == PresetAQMMatrix {
 			return t, errf("preset %q needs the dumbbell topology", preset)
 		}
 		if t.Senders != 0 || t.BottleneckBps != 0 || t.AccessBps != 0 || t.BondedLinks != 0 || len(t.AccessDelaysUs) != 0 {
@@ -513,8 +526,8 @@ func (sw Sweep) validate(preset string) error {
 				return errf("sweep.widths[%d] = %d is below the 2-sender minimum", i, w)
 			}
 		}
-		if sw.WideWidth < 0 {
-			return errf("sweep.wide_width must be non-negative")
+		if sw.WideWidth < 0 || sw.WideWidth == 1 {
+			return errf("sweep.wide_width = %d must be 0 (none) or at least the 2-sender minimum", sw.WideWidth)
 		}
 		if sw.TotalGbit <= 0 {
 			return errf("the fanin-sweep preset needs sweep.total_gbit > 0")

@@ -19,10 +19,10 @@ type Plan struct {
 	Dumbbell *netsim.DumbbellConfig
 	// FatTree selects the fat-tree topology.
 	FatTree *netsim.FatTreeConfig
-	// WatchHost, on a fat-tree, selects the host whose downlink Run
-	// reports as BottleneckStats (the dumbbell watches its bottleneck
-	// automatically).
-	WatchHost *netsim.NodeID
+	// Watch, on a fat-tree, picks the link whose queue Run reports as
+	// BottleneckStats (the dumbbell watches its bottleneck automatically).
+	// It is called once the fabric is built.
+	Watch func(*netsim.FatTree) *netsim.Link
 	// Flows are installed in order — order matters: each AddFlow draws
 	// start jitter from the run RNG, so flow order is part of the
 	// deterministic schedule.
@@ -119,11 +119,15 @@ func Build(opts Options, p Plan) (*Testbed, []*iperf.Client, error) {
 			return nil, nil, fmt.Errorf("testbed: plan load %d: %w", i, err)
 		}
 	}
-	if p.WatchHost != nil {
+	if p.Watch != nil {
 		if tb.Fat == nil {
-			return nil, nil, fmt.Errorf("testbed: plan WatchHost needs the fat-tree topology")
+			return nil, nil, fmt.Errorf("testbed: plan Watch needs the fat-tree topology")
 		}
-		tb.WatchBottleneck(tb.Fat.HostDownlink(*p.WatchHost))
+		l := p.Watch(tb.Fat)
+		if l == nil {
+			return nil, nil, fmt.Errorf("testbed: plan Watch found no link to watch")
+		}
+		tb.WatchBottleneck(l)
 	}
 	return tb, clients, nil
 }

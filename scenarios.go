@@ -25,7 +25,9 @@ func init() {
 		panic("greenenvy: scenario.CachePrefix diverged from the audited \"scenario/\" namespace")
 	}
 	RegisterScenario("fig1")
+	RegisterScenario("incast")
 	RegisterScenario("fattree-incast")
+	RegisterScenario("crossrack")
 	RegisterScenario("aqm-matrix")
 }
 
@@ -36,6 +38,20 @@ type Fig1Result = scenario.FractionResult
 // Fig1Point is one x-position of the paper's Figure 1: the bandwidth
 // fraction allocated to flow 1 and the measured total sender energy.
 type Fig1Point = scenario.FractionPoint
+
+// IncastResult sweeps the number of synchronized senders sharing the
+// dumbbell bottleneck (the §5 "incast" direction).
+type IncastResult = scenario.FanInResult
+
+// IncastPoint is one fan-in width of the incast sweep.
+type IncastPoint = scenario.FanInPoint
+
+// CrossRackResult is the Figure 1 sweep with the bottleneck at a fat-tree
+// core link.
+type CrossRackResult = scenario.FractionResult
+
+// CrossRackPoint is one x-position of the cross-rack fairness sweep.
+type CrossRackPoint = scenario.FractionPoint
 
 // FatTreeIncastResult sweeps synchronized cross-rack fan-in on a fat-tree.
 type FatTreeIncastResult = scenario.FanInResult
@@ -58,6 +74,21 @@ func RunFig1(o Options) (Fig1Result, error) { return runRegistered[Fig1Result]("
 // registered fattree-incast spec (scenario.FatTreeIncast).
 func RunFatTreeIncast(o Options) (FatTreeIncastResult, error) {
 	return runRegistered[FatTreeIncastResult]("fattree-incast", o)
+}
+
+// RunIncast measures fair-vs-serial energy for 2..16 synchronized senders
+// moving a fixed aggregate volume through the 10 Gb/s dumbbell bottleneck.
+// Theorem 1 predicts fair stays worst at every width. It runs the
+// registered incast spec (scenario.Incast).
+func RunIncast(o Options) (IncastResult, error) { return runRegistered[IncastResult]("incast", o) }
+
+// RunCrossRack sweeps the bandwidth fraction given to flow 1 of two
+// cross-pod flows whose ECMP paths collide on one core→aggregation downlink
+// of a k=4 fat-tree: Figure 1's experiment with the shared bottleneck at
+// the core instead of an edge port. It runs the registered crossrack spec
+// (scenario.CrossRack).
+func RunCrossRack(o Options) (CrossRackResult, error) {
+	return runRegistered[CrossRackResult]("crossrack", o)
 }
 
 // runRegistered runs a registered experiment and returns its result as the
